@@ -42,7 +42,7 @@ from .geometry import (
     unit_square,
     write_tmesh2d,
 )
-from .manufactured import dirichlet_square_case, neumann_square_case
+from .manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from .norms import lp_norm
 from .solver import SectorSample, solve_resolvent
 
@@ -275,20 +275,6 @@ def cmd_solve(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     return 0
 
 
-def _manufactured_errors(space, sol, case, gauge_pressure: bool):
-    phys, wts = space.quad_data(8)[0], space.quad_data(8)[1]
-    uv, _, _ = space.velocity_at_quad(sol.u)
-    pv, _, _ = space.pressure_at_quad(sol.phi)
-    flat = phys.reshape(-1, 2)
-    ue = case.u(flat).reshape(phys.shape[0], phys.shape[1], 2)
-    pe = case.phi(flat).reshape(phys.shape[0], phys.shape[1])
-    if gauge_pressure:
-        pv = pv - (np.sum(wts * pv) - np.sum(wts * pe)) / np.sum(wts)
-    eu = np.sqrt(np.sum(wts[..., None] * np.abs(uv - ue) ** 2))
-    ep = np.sqrt(np.sum(wts * np.abs(pv - pe) ** 2))
-    return float(eu), float(ep)
-
-
 def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     if cfg.domain != "unit_square":
         raise ConfigError("the manufactured study runs on the unit_square preset")
@@ -307,7 +293,7 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
         if cfg.bc_tag == "neumann":
             rhs.append(BoundaryG(case.g))
         sol = solve_resolvent(system, bc, SectorSample(case.lam, cfg.theta), rhs)
-        eu, ep = _manufactured_errors(space, sol, case, cfg.bc_tag == "dirichlet")
+        eu, ep = l2_errors(space, sol, case, cfg.bc_tag == "dirichlet")
         rows.append({"level": lvl, "h": mesh.h, "err_u_l2": eu, "err_phi_l2": ep})
         if verbose:
             print(f"level {lvl}: err_u {eu:.3e} err_phi {ep:.3e}", file=sys.stderr)

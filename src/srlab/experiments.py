@@ -42,7 +42,7 @@ from .norms import (
     operator_norm,
 )
 from .quadrature import segment_rule, triangle_rule
-from .solver import ResolventOperator, SectorSample
+from .solver import ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
     "SweepRecord",
@@ -217,12 +217,11 @@ def sweep_pressure_decay(
     if basis is None:
         basis = _default_basis(system, bc)
     h = system.space.mesh.h
-    cut = (1.0 / h**2) * (1.0 + 1e-9)
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
         lam = SectorSample(a * np.exp(1j * arg_lambda), theta)
         op = ResolventOperator(system, bc, lam)
-        row = {"abs_lambda": a, "resolved": a <= cut}
+        row = {"abs_lambda": a, "resolved": in_resolved_window(a, h)}
         for out in outputs:
             spec = OperatorSpec(out, bc, lam)
             res = operator_norm(spec, basis, system, seed=seed, operator=op)
@@ -264,7 +263,6 @@ def sweep_pressure_dual(
     # on the full H1 space; the dual norm follows the test space
     dual = "H1_zero_dual" if bc.is_dirichlet else "H1_full_dual"
     h = system.space.mesh.h
-    cut = (1.0 / h**2) * (1.0 + 1e-9)
     spec0 = OperatorSpec("phi", bc, SectorSample(1.0, theta), input_norm=dual)
     gram = _input_gram(spec0, basis, system)
     samples = []
@@ -273,7 +271,11 @@ def sweep_pressure_dual(
         spec = OperatorSpec("phi", bc, lam, input_norm=dual)
         res = operator_norm(spec, basis, system, seed=seed, input_gram=gram)
         samples.append(
-            {"abs_lambda": a, "resolved": a <= cut, "C_pressure": res.value}
+            {
+                "abs_lambda": a,
+                "resolved": in_resolved_window(a, h),
+                "C_pressure": res.value,
+            }
         )
     record = SweepRecord(
         domain_id=domain_id if domain_id is not None else _domain_id(system),
@@ -355,14 +357,13 @@ def check_uniform_resolvent(
         return record
     load_f = load_vector(space, f, bc)
     load_F = load_vector(space, F, bc)
-    cut = (1.0 / h**2) * (1.0 + 1e-9)
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
         lam = SectorSample(a * np.exp(1j * arg_lambda), theta)
         op = ResolventOperator(system, bc, lam)
         u1, _ = op.solve(load_f)
         u2, phi2 = op.solve(load_F)
-        row = {"abs_lambda": a, "resolved": a <= cut}
+        row = {"abs_lambda": a, "resolved": in_resolved_window(a, h)}
         for p in p_list:
             vel = a * lp_norm(space, u1, p) / f_norms[p]
             grad = np.sqrt(a) * lp_norm(space, u1, p, kind="velocity_gradient")
@@ -615,14 +616,13 @@ def check_lemma_equivalence(
     bc = BoundaryCondition("dirichlet")
     basis = solenoidal_basis(system, "L2_sigma")
     h = system.space.mesh.h
-    cut = (1.0 / h**2) * (1.0 + 1e-9)
     spec0 = OperatorSpec(
         "phi", bc, SectorSample(1.0, theta), input_norm="H1_zero_dual"
     )
     gram = _input_gram(spec0, basis, system)
     vals_p, vals_u = [], []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
-        if a > cut:
+        if not in_resolved_window(a, h):
             continue
         lam = SectorSample(a, theta)
         op = ResolventOperator(system, bc, lam)

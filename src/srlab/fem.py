@@ -32,14 +32,7 @@ __all__ = [
     "load_vector",
 ]
 
-GRAM_KINDS = (
-    "velocity_mass",
-    "pressure_mass",
-    "H1_full",
-    "H1_zero",
-    "scalar_laplace_dirichlet",
-    "scalar_laplace_neumann",
-)
+GRAM_KINDS = ("velocity_mass", "pressure_mass", "H1_full", "H1_zero")
 
 
 def _p2_ref(pts):
@@ -355,27 +348,16 @@ def assemble_gradient_coupling(space: TaylorHoodSpace):
     ).tocsr()
 
 
-def _eliminate(mat, dofs):
-    """Zero the given rows and columns and set unit diagonal (symmetric)."""
-    m = mat.tolil(copy=True)
-    m[dofs, :] = 0.0
-    m[:, dofs] = 0.0
-    for d in dofs:
-        m[d, d] = 1.0
-    return m.tocsr()
+def _eliminate(mat, keep):
+    """Symmetric elimination P mat P + (I - P), P = diag(keep): zero the
+    rows and columns where the boolean mask is False, unit diagonal there."""
+    P = sp.diags(keep.astype(float))
+    return (P @ mat @ P + sp.diags((~keep).astype(float))).tocsr()
 
 
 def assemble_gram(space: TaylorHoodSpace, kind: str):
     if kind not in GRAM_KINDS:
         raise ValueError(f"unknown gram kind {kind!r}")
-    if kind in ("velocity_mass", "H1_full", "H1_zero"):
-        mass, stiff, _ = _scalar_p2_matrices(space)
-        if kind == "velocity_mass":
-            return sp.kron(mass, sp.eye(2), format="csr")
-        K1 = sp.kron(mass + stiff, sp.eye(2), format="csr")
-        if kind == "H1_full":
-            return K1
-        return _eliminate(K1, space.boundary_vel_dofs)
     if kind == "pressure_mass":
         _, wts, _, _, p1v, _ = space.quad_data(4)
         loc = np.einsum("eq,qm,qn->emn", wts, p1v, p1v)
@@ -383,16 +365,15 @@ def assemble_gram(space: TaylorHoodSpace, kind: str):
             space, loc, space.mesh.triangles, space.mesh.triangles,
             (space.n_pres, space.n_pres),
         )
-    # scalar P1 Laplacians
-    _, wts, _, _, _, g1 = space.quad_data(4)
-    loc = np.einsum("eq,ema,ena->emn", wts, g1, g1)
-    L = _scatter(
-        space, loc, space.mesh.triangles, space.mesh.triangles,
-        (space.n_pres, space.n_pres),
-    )
-    if kind == "scalar_laplace_dirichlet":
-        return _eliminate(L, space.boundary_vertex_ids)
-    return L
+    mass, stiff, _ = _scalar_p2_matrices(space)
+    if kind == "velocity_mass":
+        return sp.kron(mass, sp.eye(2), format="csr")
+    K1 = sp.kron(mass + stiff, sp.eye(2), format="csr")
+    if kind == "H1_full":
+        return K1
+    keep = np.ones(space.n_vel, dtype=bool)
+    keep[space.boundary_vel_dofs] = False
+    return _eliminate(K1, keep)
 
 
 @dataclass(frozen=True)
@@ -478,8 +459,6 @@ class AssembledSystem:
     B: sp.csr_matrix
     K1: sp.csr_matrix
     K10: sp.csr_matrix
-    L_dirichlet: sp.csr_matrix
-    L_neumann: sp.csr_matrix
     C: sp.csr_matrix = field(repr=False, default=None)
 
     @property
@@ -487,10 +466,6 @@ class AssembledSystem:
         if self.mu == 0.0:
             return self.A0
         return (self.A0 + self.mu * self.D).tocsr()
-
-    @property
-    def A_dir(self):
-        return _eliminate(self.A0, self.space.boundary_vel_dofs)
 
 
 def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
@@ -506,7 +481,5 @@ def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
         B=assemble_divergence(space),
         K1=assemble_gram(space, "H1_full"),
         K10=assemble_gram(space, "H1_zero"),
-        L_dirichlet=assemble_gram(space, "scalar_laplace_dirichlet"),
-        L_neumann=assemble_gram(space, "scalar_laplace_neumann"),
         C=assemble_gradient_coupling(space),
     )

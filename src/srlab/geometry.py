@@ -252,13 +252,10 @@ class CubePatch:
 
 @dataclass(frozen=True)
 class CubeCover:
-    """Element lists for Q, 2Q, 4Q intersected with the domain, plus the
-    boundary split of Q cap Omega into the cube part and the domain part."""
+    """Element lists and measures for Q, 2Q, 4Q intersected with the domain."""
 
     patch: CubePatch
     elements: dict  # alpha -> sorted element index array
-    boundary_cube: np.ndarray  # mesh-interior edges of the Q selection, (m, 2)
-    boundary_domain: np.ndarray  # rows of mesh.boundary_edges inside Q, (m, 3)
     measures: dict = field(default_factory=dict)  # alpha -> |alphaQ cap Omega|
 
     @property
@@ -282,40 +279,7 @@ def cube_polygon_cover(mesh: TriMesh, patch: CubePatch) -> CubeCover:
         elements[alpha] = idx
         measures[alpha] = float(areas[idx].sum())
 
-    inner = set(elements[1].tolist())
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_owner.setdefault((min(a, b), max(a, b)), []).append(ti)
-    mesh_boundary = {
-        (min(a, b), max(a, b)): row for row, (a, b, _) in enumerate(mesh.boundary_edges)
-    }
-    cube_part = []
-    domain_part = []
-    for key, owners in edge_owner.items():
-        n_in = sum(1 for t in owners if t in inner)
-        if n_in == 0:
-            continue
-        if key in mesh_boundary:
-            domain_part.append(mesh.boundary_edges[mesh_boundary[key]])
-        elif n_in == 1 and len(owners) == 2:
-            cube_part.append(key)
-    return CubeCover(
-        patch,
-        elements,
-        np.asarray(sorted(cube_part), dtype=int).reshape(-1, 2),
-        np.asarray(domain_part, dtype=int).reshape(-1, 3),
-        measures,
-    )
-
-
-def tangential_gradient(face: Face, dg_ds):
-    """Tangential gradient of a scalar field on a flat face.
-
-    `dg_ds` is the arclength derivative of g at sample points; the result
-    is the vector field (dg/ds) t.
-    """
-    return np.multiply.outer(np.asarray(dg_ds), face.tangent)
+    return CubeCover(patch, elements, measures)
 
 
 def face_boundary_integrand(face: Face, v, Jv):

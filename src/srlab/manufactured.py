@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as smp
 
-__all__ = ["ManufacturedCase", "dirichlet_square_case", "neumann_square_case"]
+__all__ = [
+    "ManufacturedCase",
+    "dirichlet_square_case",
+    "neumann_square_case",
+    "l2_errors",
+]
 
 _X, _Y = smp.symbols("x y", real=True)
 
@@ -109,3 +114,21 @@ def neumann_square_case(lam=1 + 1j, mu=0.3, polygon=None) -> ManufacturedCase:
     u = [smp.sin(smp.pi * _Y), smp.sin(smp.pi * _X)]
     phi = smp.cos(smp.pi * _X) * smp.cos(smp.pi * _Y)
     return _build_case("neumann_square", u, phi, lam, mu, polygon=polygon)
+
+
+def l2_errors(space, sol, case: ManufacturedCase, gauge_pressure: bool):
+    """L2 errors (velocity, pressure) of a resolvent solution against the
+    exact fields of `case`. With `gauge_pressure` (no-slip pressures are
+    fixed only up to a constant) the discrete pressure is first shifted
+    to the quadrature mean of the exact one."""
+    phys, wts = space.quad_data(8)[0], space.quad_data(8)[1]
+    uv, _, _ = space.velocity_at_quad(sol.u)
+    pv, _, _ = space.pressure_at_quad(sol.phi)
+    flat = phys.reshape(-1, 2)
+    ue = case.u(flat).reshape(phys.shape[0], phys.shape[1], 2)
+    pe = case.phi(flat).reshape(phys.shape[0], phys.shape[1])
+    if gauge_pressure:
+        pv = pv - (np.sum(wts * pv) - np.sum(wts * pe)) / np.sum(wts)
+    eu = np.sqrt(np.sum(wts[..., None] * np.abs(uv - ue) ** 2))
+    ep = np.sqrt(np.sum(wts * np.abs(pv - pe) ** 2))
+    return float(eu), float(ep)

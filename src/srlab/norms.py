@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
 from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis
-from .solver import ResolventOperator, SectorSample
+from .solver import ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
     "OperatorSpec",
@@ -351,8 +351,7 @@ def fit_decay_exponent(samples, h: float | None = None) -> DecayFit:
     """
     pts = [(float(a), float(n)) for a, n in samples if n > 0]
     if h is not None:
-        cut = (1.0 / h**2) * (1.0 + 1e-9)
-        pts = [(a, n) for a, n in pts if a <= cut]
+        pts = [(a, n) for a, n in pts if in_resolved_window(a, h)]
     if len(pts) < 5:
         raise ValueError(f"only {len(pts)} usable samples; need at least 5")
     la = np.log10([a for a, _ in pts])

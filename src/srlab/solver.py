@@ -11,14 +11,19 @@ velocity dofs plus one Lagrange multiplier pinning the pressure mean.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import AssembledSystem, BoundaryCondition, BoundaryG, load_vector
+from .fem import (
+    AssembledSystem,
+    BoundaryCondition,
+    BoundaryG,
+    _eliminate,
+    load_vector,
+)
 
 __all__ = [
     "SectorSample",
@@ -26,10 +31,14 @@ __all__ = [
     "ResolventOperator",
     "solve_resolvent",
     "residual_report",
+    "in_resolved_window",
 ]
 
-DENSE_CUTOFF = 3000
-CONDITION_LIMIT = 1e14
+
+def in_resolved_window(abs_lam: float, h: float) -> bool:
+    """True when |lam| <= 1/h^2, the range where a mesh of size h resolves
+    the boundary layer (with a relative slack of 1e-9 for grid rounding)."""
+    return abs_lam <= (1.0 / h**2) * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -66,45 +75,12 @@ class ResolventSolution:
     warnings: list = field(default_factory=list)
 
 
-class _Factorization:
-    """Shared LU of a complex symmetric matrix with a conjugate solve."""
-
-    def __init__(self, K: sp.spmatrix):
-        self.n = K.shape[0]
-        if self.n < DENSE_CUTOFF:
-            import scipy.linalg as sla
-
-            self._lu = sla.lu_factor(K.toarray())
-            self._solve = lambda b: sla.lu_solve(self._lu, b)
-        else:
-            lu = spla.splu(K.tocsc())
-            self._solve = lu.solve
-        self._K = K.tocsr()
-
-    def solve(self, b):
-        return self._solve(b)
-
-    def solve_conj(self, b):
-        """Solve conj(K) x = b; equals the adjoint solve for symmetric K."""
-        return np.conj(self._solve(np.conj(b)))
-
-    def condition_estimate(self) -> float:
-        op = spla.LinearOperator(
-            (self.n, self.n), matvec=self._solve, dtype=complex
-        )
-        try:
-            inv_norm = spla.onenormest(op)
-            return float(inv_norm * spla.norm(self._K, 1))
-        except Exception:
-            return np.nan
-
-
 class ResolventOperator:
     """The discrete resolvent map F -> (u, phi) for one (bc, lam) pair.
 
-    Factorizes once; solves for many right-hand sides (and adjoints) are
-    cheap. Instances are independent across lam and safe to use from
-    separate threads.
+    Factorizes once with sparse LU; solves for many right-hand sides (and
+    adjoints) are cheap. Instances are independent across lam and safe to
+    use from separate threads.
     """
 
     def __init__(self, system: AssembledSystem, bc: BoundaryCondition, lam: SectorSample):
@@ -118,11 +94,8 @@ class ResolventOperator:
         if bc.is_dirichlet:
             keep = np.ones(self.n_vel, dtype=bool)
             keep[space.boundary_vel_dofs] = False
-            Pk = sp.diags(keep.astype(float))
-            S = Pk @ (lam_c * system.M_v + system.A0) @ Pk + sp.diags(
-                (~keep).astype(float)
-            )
-            Bt = system.B @ Pk
+            S = _eliminate(lam_c * system.M_v + system.A0, keep)
+            Bt = system.B @ sp.diags(keep.astype(float))
             m = np.asarray(system.M_q @ np.ones(self.n_pres)).reshape(-1, 1)
             K = sp.bmat(
                 [
@@ -130,34 +103,27 @@ class ResolventOperator:
                     [-Bt, None, -m],
                     [None, -m.T, None],
                 ],
-                format="csr",
+                format="csc",
             )
             self._keep = keep
             self._B = Bt
             self.n_extra = 1
         else:
             S = lam_c * system.M_v + system.A_mu
-            K = sp.bmat([[S, -system.B.T], [-system.B, None]], format="csr")
+            K = sp.bmat([[S, -system.B.T], [-system.B, None]], format="csc")
             self._keep = None
             self._B = system.B
             self.n_extra = 0
         self._S = S.tocsr()
-        self._fact = _Factorization(K)
+        # a singular K raises RuntimeError here
+        self._lu = spla.splu(K)
         self.warnings: list[str] = []
         h = space.mesh.h
-        if abs(lam_c) > 1.0 / h**2:
+        if not in_resolved_window(abs(lam_c), h):
             self.warnings.append(
                 f"abs(lam)={abs(lam_c):.3g} exceeds 1/h^2={1.0 / h**2:.3g}; "
                 "the mesh does not resolve the boundary layer"
             )
-
-    def check_conditioning(self):
-        est = self._fact.condition_estimate()
-        if est > CONDITION_LIMIT:
-            msg = f"estimated condition number {est:.3g} exceeds {CONDITION_LIMIT:.0e}"
-            self.warnings.append(msg)
-            warnings.warn(msg, stacklevel=2)
-        return est
 
     def _pack(self, Fv, Fp=None):
         Fv = np.asarray(Fv, dtype=complex)
@@ -170,12 +136,15 @@ class ResolventOperator:
 
     def solve(self, Fv, Fp=None):
         """Velocity (and optional pressure) load -> (u, phi) coefficients."""
-        x = self._fact.solve(self._pack(Fv, Fp))
+        x = self._lu.solve(self._pack(Fv, Fp))
         return x[: self.n_vel], x[self.n_vel : self.n_vel + self.n_pres]
 
     def solve_adjoint(self, Gv, Gp=None):
-        """Solve the adjoint block system for block loads."""
-        x = self._fact.solve_conj(self._pack(Gv, Gp))
+        """Solve the adjoint block system for block loads.
+
+        K is complex symmetric, so K^H = conj(K) and the adjoint solve is
+        the conjugate of a forward solve with the conjugated load."""
+        x = np.conj(self._lu.solve(np.conj(self._pack(Gv, Gp))))
         return x[: self.n_vel], x[self.n_vel : self.n_vel + self.n_pres]
 
     def residuals(self, u, phi, Fv):

@@ -34,7 +34,7 @@ from srlab.helmholtz import (
     ImplicitSolenoidalProjector,
     solenoidal_basis,
 )
-from srlab.manufactured import dirichlet_square_case, neumann_square_case
+from srlab.manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from srlab.norms import OperatorSpec, operator_norm
 from srlab.solver import SectorSample, solve_resolvent
 
@@ -60,20 +60,6 @@ def m_norm(system, v):
 # criterion 1: manufactured-solution convergence
 
 
-def _l2_errors(space, sol, case, gauge_pressure):
-    phys, wts = space.quad_data(8)[0], space.quad_data(8)[1]
-    uv, _, _ = space.velocity_at_quad(sol.u)
-    pv, _, _ = space.pressure_at_quad(sol.phi)
-    flat = phys.reshape(-1, 2)
-    ue = case.u(flat).reshape(phys.shape[0], phys.shape[1], 2)
-    pe = case.phi(flat).reshape(phys.shape[0], phys.shape[1])
-    if gauge_pressure:
-        pv = pv - (np.sum(wts * pv) - np.sum(wts * pe)) / np.sum(wts)
-    eu = np.sqrt(np.sum(wts[..., None] * np.abs(uv - ue) ** 2))
-    ep = np.sqrt(np.sum(wts * np.abs(pv - pe) ** 2))
-    return float(eu), float(ep)
-
-
 @pytest.mark.parametrize("bc_kind", ["dirichlet", "neumann"])
 def test_criterion_1_manufactured_convergence(bc_kind):
     if bc_kind == "dirichlet":
@@ -89,7 +75,7 @@ def test_criterion_1_manufactured_convergence(bc_kind):
         if bc_kind == "neumann":
             rhs.append(BoundaryG(case.g))
         sol = solve_resolvent(system, bc, SectorSample(case.lam), rhs)
-        errors.append(_l2_errors(space, sol, case, bc_kind == "dirichlet"))
+        errors.append(l2_errors(space, sol, case, bc_kind == "dirichlet"))
     rates_u = [np.log2(errors[i][0] / errors[i + 1][0]) for i in range(2)]
     rates_p = [np.log2(errors[i][1] / errors[i + 1][1]) for i in range(2)]
     assert min(rates_u) >= 2.5

@@ -139,8 +139,6 @@ def test_gram_kinds(fine_space):
     Mq = assemble_gram(fine_space, "pressure_mass")
     ones = np.ones(fine_space.n_pres)
     assert ones @ (Mq @ ones) == pytest.approx(1.0, abs=1e-13)
-    Ln = assemble_gram(fine_space, "scalar_laplace_neumann")
-    assert np.max(np.abs(Ln @ ones)) < 1e-13
     Mv = assemble_gram(fine_space, "velocity_mass")
     u = interp_velocity(fine_space, lambda x, y: x, lambda x, y: 0 * x)
     assert u @ (Mv @ u) == pytest.approx(1.0 / 3.0, abs=1e-12)

@@ -9,7 +9,6 @@ from srlab.geometry import (
     read_tmesh2d,
     refine_uniform,
     regular_ngon,
-    tangential_gradient,
     triangulate,
     unit_square,
     write_tmesh2d,
@@ -91,25 +90,6 @@ def test_cube_cover_all_or_nothing():
     assert len(big.elements[1]) == mesh.n_triangles
     outside = cube_polygon_cover(mesh, CubePatch((5.0, 5.0), r=0.5))
     assert outside.empty
-
-
-def test_cube_cover_boundary_split():
-    mesh = triangulate(unit_square(), 0.1)
-    cover = cube_polygon_cover(mesh, CubePatch((0.0, 0.0), r=np.sqrt(2.0)))
-    # cube-boundary edges are interior to the mesh, domain-boundary rows carry face ids
-    assert len(cover.boundary_cube) > 0
-    assert len(cover.boundary_domain) > 0
-    tagged = {(min(a, b), max(a, b)) for a, b, _ in mesh.boundary_edges}
-    for a, b in cover.boundary_cube:
-        assert (min(a, b), max(a, b)) not in tagged
-    for a, b, _ in cover.boundary_domain:
-        assert (min(a, b), max(a, b)) in tagged
-
-
-def test_tangential_gradient_constant():
-    face = unit_square().faces[2]  # y = 1
-    grad = tangential_gradient(face, np.zeros(5))
-    assert np.allclose(grad, 0.0)
 
 
 def test_face_integrand_linear_field():

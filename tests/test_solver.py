@@ -3,27 +3,13 @@ import pytest
 
 from srlab.fem import BoundaryCondition, BoundaryG, VolumeF, build_space, build_system
 from srlab.geometry import triangulate, unit_square
-from srlab.manufactured import dirichlet_square_case, neumann_square_case
+from srlab.manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from srlab.solver import (
     ResolventOperator,
     SectorSample,
     residual_report,
     solve_resolvent,
 )
-
-
-def l2_errors(space, sol, case, gauge_pressure):
-    phys, wts = space.quad_data(8)[0], space.quad_data(8)[1]
-    uv, _, _ = space.velocity_at_quad(sol.u)
-    pv, _, _ = space.pressure_at_quad(sol.phi)
-    flat = phys.reshape(-1, 2)
-    ue = case.u(flat).reshape(phys.shape[0], phys.shape[1], 2)
-    pe = case.phi(flat).reshape(phys.shape[0], phys.shape[1])
-    if gauge_pressure:
-        pv = pv - (np.sum(wts * pv) - np.sum(wts * pe)) / np.sum(wts)
-    eu = np.sqrt(np.sum(wts[..., None] * np.abs(uv - ue) ** 2))
-    ep = np.sqrt(np.sum(wts * np.abs(pv - pe) ** 2))
-    return float(eu), float(ep)
 
 
 def run_convergence(bc_kind):
@@ -98,10 +84,12 @@ def test_conjugation_symmetry():
     )
 
 
-def test_adjoint_solve():
+@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
+def test_adjoint_solve(bc_kind):
+    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
     space = build_space(triangulate(unit_square(), 0.3))
-    system = build_system(space, mu=0.3)
-    op = ResolventOperator(system, BoundaryCondition("neumann", 0.3), SectorSample(1 + 2j))
+    system = build_system(space, mu=bc.mu)
+    op = ResolventOperator(system, bc, SectorSample(1 + 2j))
     rng = np.random.default_rng(3)
     f = rng.standard_normal(space.n_vel) + 1j * rng.standard_normal(space.n_vel)
     g = rng.standard_normal(space.n_vel) + 1j * rng.standard_normal(space.n_vel)
