@@ -44,7 +44,7 @@ from .geometry import (
 )
 from .manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from .norms import lp_norm
-from .solver import SectorSample, solve_resolvent
+from .solver import NumericalError, SectorSample, solve_resolvent
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
@@ -476,12 +476,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.subcommand, out_override=args.out)
         threads = _resolve_threads(args.threads)
         return run(args.subcommand, cfg, threads=threads, verbose=args.verbose)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

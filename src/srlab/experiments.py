@@ -42,7 +42,7 @@ from .norms import (
     operator_norm,
 )
 from .quadrature import segment_rule, triangle_rule
-from .solver import ResolventOperator, SectorSample, in_resolved_window
+from .solver import NumericalError, ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
     "SweepRecord",
@@ -97,7 +97,7 @@ class SweepRecord:
             for key, val in s.items():
                 if key not in ("abs_lambda", "resolved") and val is not None:
                     if float(val) < 0:
-                        raise ValueError(f"negative measured value {key}={val}")
+                        raise NumericalError(f"negative measured value {key}={val}")
 
     def resolved_samples(self):
         return [s for s in self.samples if s["resolved"]]

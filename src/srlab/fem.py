@@ -459,27 +459,25 @@ class AssembledSystem:
     B: sp.csr_matrix
     K1: sp.csr_matrix
     K10: sp.csr_matrix
+    A_mu: sp.csr_matrix  # A0 + mu D, the natural-condition stiffness
     C: sp.csr_matrix = field(repr=False, default=None)
-
-    @property
-    def A_mu(self):
-        if self.mu == 0.0:
-            return self.A0
-        return (self.A0 + self.mu * self.D).tocsr()
 
 
 def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
     if not (-1.0 < mu <= 1.0):
         raise ValueError("mu must lie in (-1, 1]")
+    A0 = assemble_stiffness(space, 0.0)
+    D = assemble_cross_term(space)
     return AssembledSystem(
         space=space,
         mu=mu,
         M_v=assemble_gram(space, "velocity_mass"),
         M_q=assemble_gram(space, "pressure_mass"),
-        A0=assemble_stiffness(space, 0.0),
-        D=assemble_cross_term(space),
+        A0=A0,
+        D=D,
         B=assemble_divergence(space),
         K1=assemble_gram(space, "H1_full"),
         K10=assemble_gram(space, "H1_zero"),
         C=assemble_gradient_coupling(space),
+        A_mu=A0 if mu == 0.0 else (A0 + mu * D).tocsr(),
     )

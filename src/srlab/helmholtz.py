@@ -1,11 +1,17 @@
 """Discrete Helmholtz projections and solenoidal subspace bases.
 
-Both projections are realized through the scalar-potential formula
-P f = f + grad (-Lap)^{-1} div f, with the Laplacian discretized in
-Schur form L = C^T M^{-1} C so that the resulting map is an exact
-M-orthogonal projector: C couples velocity fields to gradients of the
-linear nodal potential space, and M^{-1} C lifts potential gradients
-back into the velocity space.
+Every projection here is the M_v-orthogonal projection onto the null
+space of a sparse constraint matrix A, applied through one sparse
+augmented solve
+
+    [ M_v  A^T ] [x]   [M_v f]
+    [  A    0  ] [y] = [  0  ],
+
+whose velocity block x is the projected field. The solenoidal flavors
+constrain the divergence (and the normal trace); the Helmholtz flavors
+P and Q constrain the gradients of the linear nodal potentials, A = C^T,
+so that x = f + M_v^{-1} C chi with the scalar potential chi = -y. The
+explicit basis is a dense SVD of the same constraints, for small meshes.
 """
 from __future__ import annotations
 
@@ -13,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem
+from .solver import NumericalError
 
 __all__ = [
     "SolenoidalBasis",
     "HelmholtzProjector",
     "ImplicitSolenoidalProjector",
-    "project_P",
-    "project_Q",
     "solenoidal_basis",
     "constraint_matrix",
 ]
@@ -30,67 +36,12 @@ __all__ = [
 DENSE_BASIS_LIMIT = 3000
 
 
-class HelmholtzProjector:
-    """Applies P (flavor "neumann") or Q (flavor "dirichlet") to velocity
-    coefficient vectors. Construction factorizes once; apply() is cheap."""
-
-    def __init__(self, system: AssembledSystem, flavor: str):
-        if flavor not in ("neumann", "dirichlet"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        space = system.space
-        C = system.C
-        if flavor == "dirichlet":
-            # potential space is the zero-trace part of the P1 space
-            cols = np.setdiff1d(np.arange(space.n_pres), space.boundary_vertex_ids)
-            C = C[:, cols].tocsr()
-        self._C = C
-        mass_solve = spla.factorized(system.M_v.tocsc())
-        # lifted gradients: column q of W is the velocity-space representer
-        # of grad(potential basis q)
-        self._W = np.column_stack([mass_solve(c) for c in C.toarray().T])
-        L = C.T @ self._W  # Schur-form Laplacian, dense and symmetric
-        if flavor == "neumann":
-            # constants span the kernel; gauge with a mean-zero multiplier
-            m = np.asarray(system.M_q @ np.ones(space.n_pres)).reshape(-1, 1)
-            K = np.block([[L, m], [m.T, np.zeros((1, 1))]])
-            self._lu = sla.lu_factor(K)
-            self._extra = 1
-        else:
-            self._lu = sla.lu_factor(L)
-            self._extra = 0
-
-    def potential(self, f):
-        """Scalar potential chi with P f = f + grad-lift of chi."""
-        b = -(self._C.T @ np.asarray(f, dtype=complex))
-        if self._extra:
-            b = np.concatenate([b, [0.0]])
-        chi = sla.lu_solve(self._lu, b)
-        return chi[: len(chi) - self._extra]
-
-    def apply(self, f):
-        f = np.asarray(f, dtype=complex)
-        return f + self._W @ self.potential(f)
-
-
-def project_P(system: AssembledSystem, f, projector: HelmholtzProjector | None = None):
-    """Projection onto fields with vanishing weak divergence and normal trace."""
-    proj = projector if projector is not None else HelmholtzProjector(system, "neumann")
-    return proj.apply(f)
-
-
-def project_Q(system: AssembledSystem, f, projector: HelmholtzProjector | None = None):
-    """Projection onto fields with vanishing weak divergence (no trace condition)."""
-    proj = projector if projector is not None else HelmholtzProjector(system, "dirichlet")
-    return proj.apply(f)
-
-
 @dataclass(frozen=True)
 class SolenoidalBasis:
     """M_v-orthonormal columns spanning a discretely solenoidal subspace."""
 
     Z: np.ndarray
-    flavor: str  # "L2_sigma" | "calL2_sigma"
+    flavor: str  # a constraint_matrix flavor
     gram: np.ndarray
 
     @property
@@ -98,31 +49,23 @@ class SolenoidalBasis:
         return self.Z.shape[1]
 
 
-def _constraint_rows(system: AssembledSystem, flavor: str) -> np.ndarray:
-    space = system.space
-    rows = [system.B.toarray()]
-    if flavor == "L2_sigma":
-        # one normal-trace row per (boundary node, incident face) pair;
-        # corner nodes contribute one row for each of their two faces
-        extra = np.zeros(
-            (sum(len(space.node_faces[int(n)]) for n in space.boundary_nodes), space.n_vel)
-        )
-        k = 0
-        for node in space.boundary_nodes:
-            for fid in space.node_faces[int(node)]:
-                n = space.mesh.polygon.faces[fid].normal
-                extra[k, 2 * node] = n[0]
-                extra[k, 2 * node + 1] = n[1]
-                k += 1
-        rows.append(extra)
-    return np.vstack(rows)
-
-
 def constraint_matrix(system: AssembledSystem, flavor: str):
-    """Sparse constraint rows whose null space is the requested subspace."""
-    import scipy.sparse as sp
+    """Sparse constraint rows whose null space is the requested subspace.
 
+    "calL2_sigma": the divergence rows B. "L2_sigma": B plus one
+    normal-trace row per (boundary node, incident face) pair, so corner
+    nodes contribute one row for each of their two faces. "neumann" (P):
+    C^T, the gradients of all P1 potentials. "dirichlet" (Q): the
+    gradients of the zero-trace potentials.
+    """
     space = system.space
+    if flavor == "neumann":
+        return system.C.T.tocsr()
+    if flavor == "dirichlet":
+        interior = np.setdiff1d(np.arange(space.n_pres), space.boundary_vertex_ids)
+        return system.C[:, interior].T.tocsr()
+    if flavor not in ("L2_sigma", "calL2_sigma"):
+        raise ValueError(f"unknown flavor {flavor!r}")
     blocks = [system.B.tocsr()]
     if flavor == "L2_sigma":
         rows, cols, vals = [], [], []
@@ -141,60 +84,84 @@ def constraint_matrix(system: AssembledSystem, flavor: str):
 
 
 class ImplicitSolenoidalProjector:
-    """M_v-orthogonal projector onto a solenoidal subspace, applied through
-    a sparse augmented solve instead of an explicit basis.
+    """M_v-orthogonal projector onto the null space of
+    constraint_matrix(system, flavor), applied through a sparse augmented
+    solve instead of an explicit basis.
 
-    For the trace-constrained flavor one divergence row is dropped: with
-    the normal trace pinned at every boundary node, the mean divergence
-    row is implied by the others, and keeping it would make the augmented
-    system singular.
+    One dependent constraint row is dropped, since keeping it would make
+    the augmented system singular: for "L2_sigma" the first divergence
+    row (with the normal trace pinned at every boundary node, the mean
+    divergence row is implied by the others), for "neumann" the first
+    potential row (constants span the kernel of C).
     """
 
     def __init__(self, system: AssembledSystem, flavor: str):
-        import scipy.sparse as sp
-
-        if flavor not in ("L2_sigma", "calL2_sigma"):
-            raise ValueError(f"unknown flavor {flavor!r}")
+        A = constraint_matrix(system, flavor)
+        if flavor in ("L2_sigma", "neumann"):
+            A = A[1:]
         self.flavor = flavor
         self.system = system
-        C = constraint_matrix(system, flavor)
-        if flavor == "L2_sigma":
-            C = C[1:]
-        K = sp.bmat([[system.M_v, C.T], [C, None]], format="csc")
+        K = sp.bmat([[system.M_v, A.T], [A, None]], format="csc")
         # the saddle matrix is real; factoring in real arithmetic halves
         # the memory and real/imag parts are solved separately
         self._lu = spla.splu(K)
         self._n_vel = system.space.n_vel
-        self._m = C.shape[0]
-        self.C = C
+        self._m = A.shape[0]
 
-    def project(self, f):
+    def _solve(self, f):
+        """Velocity block followed by the multiplier block."""
         f = np.asarray(f)
         rhs = np.concatenate([self.system.M_v @ f, np.zeros(self._m, dtype=f.dtype)])
         if np.iscomplexobj(rhs):
-            x = self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
-        else:
-            x = self._lu.solve(rhs)
-        return x[: self._n_vel]
+            return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+        return self._lu.solve(rhs)
+
+    def project(self, f):
+        return self._solve(f)[: self._n_vel]
+
+
+class HelmholtzProjector(ImplicitSolenoidalProjector):
+    """P (flavor "neumann") or Q (flavor "dirichlet"): f + M_v^{-1} C chi,
+    the part of f that is M_v-orthogonal to the lifted potential gradients.
+    P removes the gradients of all P1 potentials, Q those of the
+    zero-trace ones."""
+
+    def __init__(self, system: AssembledSystem, flavor: str):
+        if flavor not in ("neumann", "dirichlet"):
+            raise ValueError(f"unknown Helmholtz flavor {flavor!r}")
+        super().__init__(system, flavor)
+
+    def apply(self, f):
+        return self.project(f)
+
+    def potential(self, f):
+        """Scalar potential chi with apply(f) = f + M_v^{-1} C chi: on all
+        vertices with M_q-mean zero for P, on the interior vertices for Q."""
+        chi = -self._solve(f)[self._n_vel :]
+        if self.flavor == "neumann":
+            # the dropped row pinned chi[0] = 0; restore the mean-zero gauge
+            chi = np.concatenate([np.zeros(1, dtype=chi.dtype), chi])
+            m = self.system.M_q @ np.ones(len(chi))
+            chi = chi - (m @ chi) / m.sum()
+        return chi
 
 
 def solenoidal_basis(system: AssembledSystem, flavor: str) -> SolenoidalBasis:
-    """Dense null-space basis of the divergence (and trace) constraints."""
-    if flavor not in ("L2_sigma", "calL2_sigma"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    space = system.space
-    if space.n_vel > DENSE_BASIS_LIMIT:
+    """Dense M_v-orthonormal basis of the null space of
+    constraint_matrix(system, flavor), for small meshes."""
+    A = constraint_matrix(system, flavor)
+    if system.space.n_vel > DENSE_BASIS_LIMIT:
         raise ValueError(
-            f"n_vel = {space.n_vel} exceeds the dense null-space limit "
+            f"n_vel = {system.space.n_vel} exceeds the dense null-space limit "
             f"{DENSE_BASIS_LIMIT}; use the implicit projector route"
         )
-    A = _constraint_rows(system, flavor)
+    A = A.toarray()
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
     rank = int(np.sum(s > tol))
     Z = Vt[rank:].T
     if Z.shape[1] == 0:
-        raise ValueError("constraint matrix has full rank; no solenoidal fields")
+        raise NumericalError("constraint matrix has full rank; no solenoidal fields")
     # M_v-orthonormalize
     G = Z.T @ (system.M_v @ Z)
     L = np.linalg.cholesky(G)

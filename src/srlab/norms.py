@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
 from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis
-from .solver import ResolventOperator, SectorSample, in_resolved_window
+from .solver import NumericalError, ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
     "OperatorSpec",
@@ -270,7 +270,7 @@ def operator_norm(
     if isinstance(basis, ImplicitSolenoidalProjector):
         return _operator_norm_implicit(spec, basis, system, seed, operator)
     if basis.dim == 0:
-        raise ValueError("empty basis")
+        raise NumericalError("empty basis")
     op = operator
     if op is None and spec.output != "identity":
         op = ResolventOperator(system, spec.bc, spec.lam)
@@ -353,11 +353,11 @@ def fit_decay_exponent(samples, h: float | None = None) -> DecayFit:
     if h is not None:
         pts = [(a, n) for a, n in pts if in_resolved_window(a, h)]
     if len(pts) < 5:
-        raise ValueError(f"only {len(pts)} usable samples; need at least 5")
+        raise NumericalError(f"only {len(pts)} usable samples; need at least 5")
     la = np.log10([a for a, _ in pts])
     ln = np.log10([n for _, n in pts])
     if la.max() - la.min() < 2.0 - 1e-12:
-        raise ValueError(
+        raise NumericalError(
             f"samples span {la.max() - la.min():.2f} decades; need at least 2"
         )
     slope, intercept = np.polyfit(la, ln, 1)

@@ -32,7 +32,14 @@ __all__ = [
     "solve_resolvent",
     "residual_report",
     "in_resolved_window",
+    "NumericalError",
 ]
+
+
+class NumericalError(ValueError):
+    """A computation that ran but gives no usable result: too few resolved
+    samples for a fit, an empty basis, a negative measured value. The CLI
+    exits 3 on it rather than 2, the code for bad input."""
 
 
 def in_resolved_window(abs_lam: float, h: float) -> bool:

@@ -187,6 +187,17 @@ def test_sweep_subcommand(tmp_path):
     assert payload["n_samples"] == 5
 
 
+def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
+    # level 2 resolves |lambda| <= 1/h^2 = 8; the fit has no usable sample
+    cfg = write_cfg(
+        tmp_path,
+        bc="neumann",
+        **{"lambda": {"log10_min": 2.0, "log10_max": 4.0, "count": 5}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+
+
 def test_check_grisvard_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, level=3)
     out = tmp_path / "out"

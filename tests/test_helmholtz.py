@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from srlab.fem import build_space, build_system, BoundaryCondition
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
     HelmholtzProjector,
-    project_P,
-    project_Q,
+    ImplicitSolenoidalProjector,
     solenoidal_basis,
 )
 from srlab.solver import SectorSample, solve_resolvent
@@ -38,19 +38,18 @@ def bubble_field(space):
     return c
 
 
-def test_idempotence(sys3):
+@pytest.mark.parametrize("flavor", ["neumann", "dirichlet", "L2_sigma", "calL2_sigma"])
+def test_idempotence(sys3, flavor):
     f = random_field(sys3)
-    scale = m_norm(sys3, f)
-    for flavor in ("neumann", "dirichlet"):
-        proj = HelmholtzProjector(sys3, flavor)
-        pf = proj.apply(f)
-        assert m_norm(sys3, proj.apply(pf) - pf) <= 1e-9 * scale
+    proj = ImplicitSolenoidalProjector(sys3, flavor)
+    pf = proj.project(f)
+    assert m_norm(sys3, proj.project(pf) - pf) <= 1e-9 * m_norm(sys3, f)
 
 
 def test_project_q_constant(sys3):
     c = np.zeros(sys3.space.n_vel)
     c[0::2] = 1.0
-    qc = project_Q(sys3, c)
+    qc = HelmholtzProjector(sys3, "dirichlet").apply(c)
     assert m_norm(sys3, qc - c) <= 1e-10 * m_norm(sys3, c)
 
 
@@ -58,13 +57,38 @@ def test_gradients_annihilated(sys3):
     # Q annihilates lifted gradients of zero-trace potentials,
     # P annihilates lifted gradients of arbitrary potentials
     rng = np.random.default_rng(1)
-    for flavor, fn in (("dirichlet", project_Q), ("neumann", project_P)):
+    for flavor in ("dirichlet", "neumann"):
+        h = rng.standard_normal(sys3.space.n_pres)
+        if flavor == "dirichlet":
+            h[sys3.space.boundary_vertex_ids] = 0.0
+        gradh = spla.spsolve(sys3.M_v.tocsc(), sys3.C @ h)
         proj = HelmholtzProjector(sys3, flavor)
-        h = rng.standard_normal(proj._W.shape[1])
-        gradh = proj._W @ h
-        assert m_norm(sys3, fn(sys3, gradh, projector=proj)) <= 1e-10 * m_norm(
-            sys3, gradh
-        )
+        assert m_norm(sys3, proj.apply(gradh)) <= 1e-10 * m_norm(sys3, gradh)
+
+
+def test_matches_dense_schur_formula(sys3):
+    # reference: f + W chi with W = M^{-1} C and chi solving the dense
+    # Schur-form Laplacian C^T W chi = -C^T f (mean-zero chi for P)
+    f = random_field(sys3, seed=4)
+    scale = m_norm(sys3, f)
+    space = sys3.space
+    for flavor in ("neumann", "dirichlet"):
+        C = sys3.C.toarray()
+        if flavor == "dirichlet":
+            C = C[:, np.setdiff1d(np.arange(space.n_pres), space.boundary_vertex_ids)]
+        W = np.linalg.solve(sys3.M_v.toarray(), C)
+        L = C.T @ W
+        b = -(C.T @ f)
+        if flavor == "neumann":
+            m = sys3.M_q @ np.ones(space.n_pres)
+            K = np.block([[L, m[:, None]], [m[None, :], np.zeros((1, 1))]])
+            chi = np.linalg.solve(K, np.append(b, 0.0))[:-1]
+        else:
+            chi = np.linalg.solve(L, b)
+        proj = HelmholtzProjector(sys3, flavor)
+        assert m_norm(sys3, proj.apply(f) - (f + W @ chi)) <= 1e-10 * scale
+        pot = proj.potential(f)
+        assert np.linalg.norm(pot - chi) <= 1e-10 * np.linalg.norm(chi)
 
 
 def test_p_preserves_solenoidal_fields_under_refinement():
@@ -73,7 +97,8 @@ def test_p_preserves_solenoidal_fields_under_refinement():
         space = build_space(triangulate(unit_square(), np.sqrt(2.0) / 2**lvl))
         system = build_system(space)
         f = bubble_field(space)
-        defect = m_norm(system, project_P(system, f) - f) / m_norm(system, f)
+        pf = HelmholtzProjector(system, "neumann").apply(f)
+        defect = m_norm(system, pf - f) / m_norm(system, f)
         if prev is not None:
             assert np.log2(prev / defect) >= 1.0
         prev = defect
@@ -109,7 +134,7 @@ def test_constants_in_calL2_only(sys3):
 
 def test_orthogonality_of_complement(sys3):
     f = random_field(sys3, seed=2)
-    pf = project_P(sys3, f)
+    pf = HelmholtzProjector(sys3, "neumann").apply(f)
     Z = solenoidal_basis(sys3, "L2_sigma").Z
     assert np.abs(Z.T @ (sys3.M_v @ (f - pf))).max() <= 1e-9 * m_norm(sys3, f)
 
