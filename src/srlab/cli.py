@@ -42,7 +42,6 @@ from .geometry import (
     unit_square,
     write_tmesh2d,
 )
-from .manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from .norms import lp_norm
 from .solver import NumericalError, SectorSample, solve_resolvent
 
@@ -276,6 +275,9 @@ def cmd_solve(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 
 
 def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
+    # sympy is slow to import and only this subcommand needs it
+    from .manufactured import dirichlet_square_case, l2_errors, neumann_square_case
+
     if cfg.domain != "unit_square":
         raise ConfigError("the manufactured study runs on the unit_square preset")
     if cfg.bc_tag == "dirichlet":

@@ -7,6 +7,7 @@ once per mesh and are immutable scipy.sparse CSR matrices.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,9 @@ class TaylorHoodSpace:
         self.boundary_vertex_ids = self.boundary_nodes[self.boundary_nodes < nv]
         self.boundary_edge_midnodes = np.asarray(bedge_mid, dtype=int)
         self._quad_cache: dict[int, tuple] = {}
+        # dual-norm H1 factorizations, shared by the CLI's sweep-ray threads
+        self._dual_cache: dict[str, object] = {}
+        self._dual_lock = threading.Lock()
 
     def node_normal(self, node: int) -> np.ndarray:
         """Outward normal at a boundary P2 node; corners use the bisector."""

@@ -31,6 +31,7 @@ __all__ = [
     "ImplicitSolenoidalProjector",
     "solenoidal_basis",
     "constraint_matrix",
+    "orthonormalize",
 ]
 
 DENSE_BASIS_LIMIT = 3000
@@ -38,11 +39,12 @@ DENSE_BASIS_LIMIT = 3000
 
 @dataclass(frozen=True)
 class SolenoidalBasis:
-    """M_v-orthonormal columns spanning a discretely solenoidal subspace."""
+    """Columns spanning a discretely solenoidal subspace, orthonormal in
+    the input norm `norm` (one of norms.INPUT_NORMS; "L2" is M_v)."""
 
     Z: np.ndarray
     flavor: str  # a constraint_matrix flavor
-    gram: np.ndarray
+    norm: str = "L2"
 
     @property
     def dim(self) -> int:
@@ -162,9 +164,16 @@ def solenoidal_basis(system: AssembledSystem, flavor: str) -> SolenoidalBasis:
     Z = Vt[rank:].T
     if Z.shape[1] == 0:
         raise NumericalError("constraint matrix has full rank; no solenoidal fields")
-    # M_v-orthonormalize
-    G = Z.T @ (system.M_v @ Z)
-    L = np.linalg.cholesky(G)
-    Z = sla.solve_triangular(L, Z.T, lower=True).T
-    G = Z.T @ (system.M_v @ Z)
-    return SolenoidalBasis(Z=Z, flavor=flavor, gram=G)
+    return SolenoidalBasis(Z=orthonormalize(Z, Z.T @ (system.M_v @ Z)), flavor=flavor)
+
+
+def orthonormalize(Z, G):
+    """Z L^{-T} for the Cholesky factor L of G, the Gram of the columns of
+    Z in some inner product: the same span, orthonormal in that product."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        # roundoff in a Gram built from solves can make it indefinite
+        jitter = 1e-12 * np.trace(G) / G.shape[0]
+        L = np.linalg.cholesky(G + jitter * np.eye(G.shape[0]))
+    return sla.solve_triangular(L, Z.T, lower=True).T

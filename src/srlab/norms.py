@@ -1,22 +1,22 @@
 """Norms, dual norms, and operator norms of resolvent solution maps.
 
 Operator norms are largest singular values of the map c -> output field,
-with the input measured in the basis Gram inner product and the output
-in one of five weighted norms. They are computed either by dense
-eigendecomposition of the normal operator (oracle, small bases) or by
-power iteration that reuses one LU factorization per resolvent
-parameter, with the adjoint applied through conjugation.
+over a basis orthonormal in the input norm (so c carries the Euclidean
+norm) and with the output in one of five weighted norms. They are
+computed either by dense eigendecomposition of the normal operator
+(oracle, small bases) or by power iteration that reuses one LU
+factorization per resolvent parameter, with the adjoint applied through
+conjugation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
-from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis
+from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis, orthonormalize
 from .solver import NumericalError, ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "lp_norm",
     "broken_h2_seminorm",
     "dual_h_minus1_norm",
+    "dual_basis",
     "operator_norm",
     "fit_decay_exponent",
 ]
@@ -86,14 +87,12 @@ def broken_h2_seminorm(space: TaylorHoodSpace, coeffs, region=None):
 
 
 def _dual_solver(system: AssembledSystem, flavor: str):
-    cache = getattr(system.space, "_dual_cache", None)
-    if cache is None:
-        cache = {}
-        system.space._dual_cache = cache
-    if flavor not in cache:
-        K = {"H1_zero_dual": system.K10, "H1_full_dual": system.K1}[flavor]
-        cache[flavor] = spla.factorized(K.tocsc().astype(complex))
-    return cache[flavor]
+    cache = system.space._dual_cache
+    with system.space._dual_lock:
+        if flavor not in cache:
+            K = {"H1_zero_dual": system.K10, "H1_full_dual": system.K1}[flavor]
+            cache[flavor] = spla.factorized(K.tocsc().astype(complex))
+        return cache[flavor]
 
 
 def dual_h_minus1_norm(system: AssembledSystem, load, flavor: str = "H1_zero_dual"):
@@ -196,17 +195,20 @@ def _make_apply_H(spec, basis, system, op):
     return apply_H
 
 
-def _input_gram(spec, basis, system):
-    if spec.input_norm == "L2":
-        return None  # basis is M_v-orthonormal
-    MZ = np.asarray(system.M_v @ basis.Z)
-    if spec.input_norm == "H1_zero_dual":
-        MZ = MZ.copy()
+def _input_gram(system, Z, flavor):
+    """Gram of the columns of Z in the dual norm of the flavor."""
+    MZ = np.asarray(system.M_v @ Z)
+    if flavor == "H1_zero_dual":
         MZ[system.space.boundary_vel_dofs, :] = 0.0
-    solve = _dual_solver(system, spec.input_norm)
-    cols = np.column_stack([solve(MZ[:, j].astype(complex)) for j in range(MZ.shape[1])])
-    G = MZ.T @ cols
-    return 0.5 * np.real(G + G.T)
+    # K and M_v Z are real, so the solve's imaginary part is exactly zero
+    G = MZ.T @ _dual_solver(system, flavor)(MZ).real
+    return 0.5 * (G + G.T)
+
+
+def dual_basis(system: AssembledSystem, basis: SolenoidalBasis, flavor: str):
+    """The span of `basis`, orthonormal in the dual norm of the flavor."""
+    Z = orthonormalize(basis.Z, _input_gram(system, basis.Z, flavor))
+    return SolenoidalBasis(Z=Z, flavor=basis.flavor, norm=flavor)
 
 
 def _power_iteration(matvec, dim, seed, M=None):
@@ -228,8 +230,6 @@ def _power_iteration(matvec, dim, seed, M=None):
 
     if dim <= 2:
         H = np.column_stack([counted(e.astype(complex)) for e in np.eye(dim)])
-        if M is not None:
-            H = np.linalg.solve(M, H)
         nu = float(np.max(np.real(np.linalg.eigvals(H))))
         return nu, count[0], True, 0.0
     op = spla.LinearOperator((dim, dim), matvec=counted, dtype=complex)
@@ -258,50 +258,32 @@ def operator_norm(
     method: str = "power_iteration",
     seed: int = 0,
     operator: ResolventOperator | None = None,
-    input_gram: np.ndarray | None = None,
 ) -> OperatorNormResult:
     """Largest singular value of the input-to-output map over the basis.
 
-    `basis` is either an explicit SolenoidalBasis or an
-    ImplicitSolenoidalProjector (power iteration only, L2 input).
-    `operator` and `input_gram` allow reusing a factorization and a dual
-    Gram across calls with the same (bc, lam) and basis respectively.
+    `basis` is either an explicit SolenoidalBasis, orthonormal in the
+    input norm spec.input_norm, or an ImplicitSolenoidalProjector (power
+    iteration only, L2 input). `operator` allows reusing a factorization
+    across calls with the same (bc, lam).
     """
     if isinstance(basis, ImplicitSolenoidalProjector):
         return _operator_norm_implicit(spec, basis, system, seed, operator)
+    if spec.input_norm != basis.norm:
+        raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
     if basis.dim == 0:
         raise NumericalError("empty basis")
     op = operator
     if op is None and spec.output != "identity":
         op = ResolventOperator(system, spec.bc, spec.lam)
     apply_H = _make_apply_H(spec, basis, system, op)
-    G = input_gram if input_gram is not None else _input_gram(spec, basis, system)
     if method == "dense_eig":
         Hm = np.column_stack([apply_H(e) for e in np.eye(basis.dim, dtype=complex)])
-        if G is not None:
-            Hm = np.linalg.solve(G, Hm)
         vals = np.linalg.eigvals(Hm)
         nu = float(np.max(np.real(vals)))
         return OperatorNormResult(value=float(np.sqrt(max(nu, 0.0))), method=method)
     if method != "power_iteration":
         raise ValueError(f"unknown method {method!r}")
-    if G is None:
-        matvec = apply_H
-    else:
-        # symmetrize the Gram-weighted pencil with a Cholesky congruence;
-        # roundoff in the dual Gram can leave tiny negative eigenvalues,
-        # so retry with a relative jitter on the diagonal when needed
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * np.trace(G) / G.shape[0]
-            L = np.linalg.cholesky(G + jitter * np.eye(G.shape[0]))
-
-        def matvec(c):
-            x = sla.solve_triangular(L, c, trans="T", lower=True)
-            return sla.solve_triangular(L, apply_H(x), lower=True)
-
-    nu, iters, ok, gap = _power_iteration(matvec, basis.dim, seed)
+    nu, iters, ok, gap = _power_iteration(apply_H, basis.dim, seed)
     return OperatorNormResult(
         value=float(np.sqrt(max(nu, 0.0))),
         method=method,

@@ -187,6 +187,20 @@ def test_sweep_subcommand(tmp_path):
     assert payload["n_samples"] == 5
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_sweep_unconverged_eigensolve_is_numerical_failure(
+    tmp_path, unconverged_eigsh, dual
+):
+    cfg = write_cfg(
+        tmp_path,
+        dual=dual,
+        **{"lambda": {"log10_min": -1.1, "log10_max": 0.9, "count": 5}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+    assert not (out / "t_ray0.csv").exists()
+
+
 def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     # level 2 resolves |lambda| <= 1/h^2 = 8; the fit has no usable sample
     cfg = write_cfg(

@@ -24,7 +24,7 @@ from srlab.experiments import (
 from srlab.fem import BoundaryCondition, VolumeF, build_space, build_system
 from srlab.geometry import CubePatch, triangulate, unit_square
 from srlab.norms import fit_decay_exponent
-from srlab.solver import SectorSample
+from srlab.solver import NumericalError, SectorSample
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,25 @@ def test_sweep_pressure_dual_dirichlet(sys3):
     assert len(vals) == 5 and all(v > 0 for v in vals)
     # the dual-norm pressure map is flat at small lambda
     assert abs(fit.alpha_hat) <= 0.1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda system, grid: sweep_pressure_decay(
+            system, BoundaryCondition("neumann", 0.0), lam_grid=grid, outputs=("phi",)
+        ),
+        lambda system, grid: sweep_pressure_dual(
+            system, BoundaryCondition("dirichlet"), lam_grid=grid
+        ),
+        lambda system, grid: check_lemma_equivalence(system, lam_grid=grid),
+    ],
+    ids=["decay", "dual", "equivalence"],
+)
+def test_unconverged_eigensolve_is_numerical_failure(unconverged_eigsh, run):
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    with pytest.raises(NumericalError, match="unconverged"):
+        run(system, default_lambda_grid(-1.1, 0.9, 5))
 
 
 def test_uniform_resolvent_columns(sys3):

@@ -109,7 +109,9 @@ def test_basis_invariants(sys3):
     for flavor in ("L2_sigma", "calL2_sigma"):
         basis = solenoidal_basis(sys3, flavor)
         assert np.abs(sys3.B @ basis.Z).max() < 1e-10
-        assert np.abs(basis.gram - np.eye(basis.dim)).max() < 1e-10
+        assert basis.norm == "L2"
+        G = basis.Z.T @ (sys3.M_v @ basis.Z)
+        assert np.abs(G - np.eye(basis.dim)).max() < 1e-10
         dims[flavor] = basis.dim
         if flavor == "L2_sigma":
             space = sys3.space

@@ -1,13 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from srlab import norms
 from srlab.fem import BoundaryCondition, build_space, build_system
 from srlab.geometry import triangulate, unit_square
-from srlab.helmholtz import ImplicitSolenoidalProjector, solenoidal_basis
+from srlab.helmholtz import (
+    ImplicitSolenoidalProjector,
+    SolenoidalBasis,
+    orthonormalize,
+    solenoidal_basis,
+)
 from srlab.norms import (
     DecayFit,
     OperatorSpec,
+    _input_gram,
     broken_h2_seminorm,
+    dual_basis,
     dual_h_minus1_norm,
     fit_decay_exponent,
     lp_norm,
@@ -124,12 +135,10 @@ def test_power_vs_dense(sys2, output):
 
 
 def test_operator_norm_basis_rotation_invariance(sys2):
-    from srlab.helmholtz import SolenoidalBasis
-
     basis = solenoidal_basis(sys2, "L2_sigma")
     rng = np.random.default_rng(4)
     Q, _ = np.linalg.qr(rng.standard_normal((basis.dim, basis.dim)))
-    rotated = SolenoidalBasis(Z=basis.Z @ Q, flavor=basis.flavor, gram=basis.gram)
+    rotated = SolenoidalBasis(Z=basis.Z @ Q, flavor=basis.flavor)
     spec = OperatorSpec("phi", BoundaryCondition("dirichlet"), SectorSample(2.0))
     a = operator_norm(spec, basis, sys2, method="dense_eig")
     b = operator_norm(spec, rotated, sys2, method="dense_eig")
@@ -147,12 +156,14 @@ def test_operator_norm_implicit_matches_explicit(sys2):
 
 def test_dual_input_operator_norm_singleton(sys2):
     # one-column basis: value must match a direct computation
-    from srlab.helmholtz import SolenoidalBasis
     from srlab.solver import ResolventOperator
 
     full = solenoidal_basis(sys2, "L2_sigma")
     z = full.Z[:, :1]
-    single = SolenoidalBasis(Z=z, flavor="L2_sigma", gram=z.T @ (sys2.M_v @ z))
+    G = _input_gram(sys2, z, "H1_zero_dual")
+    single = SolenoidalBasis(
+        Z=orthonormalize(z, G), flavor="L2_sigma", norm="H1_zero_dual"
+    )
     bc = BoundaryCondition("dirichlet")
     lam = SectorSample(4.0)
     spec = OperatorSpec("phi", bc, lam, input_norm="H1_zero_dual")
@@ -162,6 +173,49 @@ def test_dual_input_operator_norm_singleton(sys2):
     num = np.sqrt(np.real(np.vdot(phi, sys2.M_q @ phi)))
     den = dual_h_minus1_norm(sys2, np.asarray(sys2.M_v @ z[:, 0]), "H1_zero_dual")
     assert res.value == pytest.approx(num / den, rel=1e-8)
+
+
+def test_operator_norm_rejects_basis_in_other_norm(sys2):
+    basis = solenoidal_basis(sys2, "L2_sigma")
+    dual = dual_basis(sys2, basis, "H1_zero_dual")
+    assert dual.norm == "H1_zero_dual" and dual.dim == basis.dim
+    bc, lam = BoundaryCondition("dirichlet"), SectorSample(2.0)
+    for norm, wrong in (("H1_zero_dual", basis), ("L2", dual), ("H1_full_dual", dual)):
+        spec = OperatorSpec("phi", bc, lam, input_norm=norm)
+        with pytest.raises(ValueError, match="input norm"):
+            operator_norm(spec, wrong, sys2)
+
+
+def test_dual_solver_factors_once_across_threads(monkeypatch):
+    # a fresh system: its space holds no dual factorization yet; more
+    # threads than cores, released together
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    calls = []
+    factorized = spla.factorized
+    n_threads = 4
+    all_waiting = threading.Barrier(n_threads, timeout=10)
+
+    def slow_factorized(A):
+        calls.append(1)
+        # hold the window in which the other thread could start a second factor
+        threading.Event().wait(0.2)
+        return factorized(A)
+
+    monkeypatch.setattr(spla, "factorized", slow_factorized)
+    solvers = []
+
+    def work():
+        all_waiting.wait()
+        solvers.append(norms._dual_solver(system, "H1_zero_dual"))
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(solvers) == n_threads and all(s is solvers[0] for s in solvers)
 
 
 def test_fit_exact_half():
