@@ -525,7 +525,7 @@ def check_h2_estimate(
             f_norm = lp_norm(space, fvec, 2.0)
             if f_norm == 0.0:
                 continue
-            u, phi = op.solve(system.M_v @ np.asarray(fvec, dtype=complex))
+            u, phi = op.solve(system.M_v @ np.asarray(fvec))
             num = (
                 a * lp_norm(space, u, 2.0, kind="velocity_gradient") ** 2
                 + broken_h2_seminorm(space, u) ** 2

@@ -184,10 +184,13 @@ class TaylorHoodSpace:
         )
         self.boundary_vertex_ids = self.boundary_nodes[self.boundary_nodes < nv]
         self.boundary_edge_midnodes = np.asarray(bedge_mid, dtype=int)
+        # lazily filled caches, shared by the CLI's sweep-ray threads and
+        # filled under one lock (reentrant: the P2 matrices read quad_data)
+        self._lock = threading.RLock()
         self._quad_cache: dict[int, tuple] = {}
-        # dual-norm H1 factorizations, shared by the CLI's sweep-ray threads
-        self._dual_cache: dict[str, object] = {}
-        self._dual_lock = threading.Lock()
+        self._p2mats: tuple | None = None
+        # input-norm Gram factorizations, keyed by norm (norms._gram_solver)
+        self._gram_cache: dict[str, object] = {}
 
     def node_normal(self, node: int) -> np.ndarray:
         """Outward normal at a boundary P2 node; corners use the bisector."""
@@ -202,16 +205,19 @@ class TaylorHoodSpace:
         area, P2 values (nq,6), P2 physical gradients (ne,nq,6,2),
         P1 values (nq,3), P1 physical gradients (ne,3,2)).
         """
-        if degree not in self._quad_cache:
-            pts, w = triangle_rule(degree)
-            p2v, p2g = _p2_ref(pts)
-            p1v, p1g = _p1_ref(pts)
-            phys = self._corner0[:, None, :] + np.einsum("eab,qb->eqa", self._J, pts)
-            wts = 0.5 * self.detJ[:, None] * w[None, :]
-            g2 = np.einsum("qnb,eba->eqna", p2g, self.invJ)
-            g1 = np.einsum("nb,eba->ena", p1g[0], self.invJ)
-            self._quad_cache[degree] = (phys, wts, p2v, g2, p1v, g1)
-        return self._quad_cache[degree]
+        with self._lock:
+            if degree not in self._quad_cache:
+                pts, w = triangle_rule(degree)
+                p2v, p2g = _p2_ref(pts)
+                p1v, p1g = _p1_ref(pts)
+                phys = self._corner0[:, None, :] + np.einsum(
+                    "eab,qb->eqa", self._J, pts
+                )
+                wts = 0.5 * self.detJ[:, None] * w[None, :]
+                g2 = np.einsum("qnb,eba->eqna", p2g, self.invJ)
+                g1 = np.einsum("nb,eba->ena", p1g[0], self.invJ)
+                self._quad_cache[degree] = (phys, wts, p2v, g2, p1v, g1)
+            return self._quad_cache[degree]
 
     def velocity_at_quad(self, coeffs, degree: int = 8):
         """Values (ne,nq,2) and gradients (ne,nq,2,2) of a velocity field.
@@ -259,23 +265,23 @@ def _scatter(space, local, rows_nodes, cols_nodes, shape):
 
 def _scalar_p2_matrices(space: TaylorHoodSpace):
     """Scalar P2 mass, stiffness, and the four gradient-product blocks."""
-    cached = getattr(space, "_p2mats", None)
-    if cached is not None:
-        return cached
-    _, wts, p2v, g2, _, _ = space.quad_data(4)
-    mass_loc = np.einsum("eq,qm,qn->emn", wts, p2v, p2v)
-    stiff_loc = np.einsum("eq,eqma,eqna->emn", wts, g2, g2)
-    gg = np.einsum("eq,eqmc,eqnd->ecdmn", wts, g2, g2)  # G_cd
-    shape = (space.n_p2, space.n_p2)
-    mass = _scatter(space, mass_loc, space.cells6, space.cells6, shape)
-    stiff = _scatter(space, stiff_loc, space.cells6, space.cells6, shape)
-    G = {
-        (c, d): _scatter(space, gg[:, c, d], space.cells6, space.cells6, shape)
-        for c in range(2)
-        for d in range(2)
-    }
-    space._p2mats = (mass, stiff, G)
-    return space._p2mats
+    with space._lock:
+        if space._p2mats is None:
+            _, wts, p2v, g2, _, _ = space.quad_data(4)
+            mass_loc = np.einsum("eq,qm,qn->emn", wts, p2v, p2v)
+            stiff_loc = np.einsum("eq,eqma,eqna->emn", wts, g2, g2)
+            gg = np.einsum("eq,eqmc,eqnd->ecdmn", wts, g2, g2)  # G_cd
+            shape = (space.n_p2, space.n_p2)
+            cells = space.cells6
+            mass = _scatter(space, mass_loc, cells, cells, shape)
+            stiff = _scatter(space, stiff_loc, cells, cells, shape)
+            G = {
+                (c, d): _scatter(space, gg[:, c, d], cells, cells, shape)
+                for c in range(2)
+                for d in range(2)
+            }
+            space._p2mats = (mass, stiff, G)
+        return space._p2mats
 
 
 def _interleave_blocks(space, blocks, shape):

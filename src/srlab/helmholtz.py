@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem
-from .solver import NumericalError
+from .solver import NumericalError, split_complex
 
 __all__ = [
     "SolenoidalBasis",
@@ -106,7 +106,7 @@ class ImplicitSolenoidalProjector:
         K = sp.bmat([[system.M_v, A.T], [A, None]], format="csc")
         # the saddle matrix is real; factoring in real arithmetic halves
         # the memory and real/imag parts are solved separately
-        self._lu = spla.splu(K)
+        self._lu_solve = split_complex(spla.splu(K).solve)
         self._n_vel = system.space.n_vel
         self._m = A.shape[0]
 
@@ -114,9 +114,7 @@ class ImplicitSolenoidalProjector:
         """Velocity block followed by the multiplier block."""
         f = np.asarray(f)
         rhs = np.concatenate([self.system.M_v @ f, np.zeros(self._m, dtype=f.dtype)])
-        if np.iscomplexobj(rhs):
-            return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
-        return self._lu.solve(rhs)
+        return self._lu_solve(rhs)
 
     def project(self, f):
         return self._solve(f)[: self._n_vel]

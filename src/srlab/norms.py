@@ -6,7 +6,8 @@ norm) and with the output in one of five weighted norms. They are
 computed either by dense eigendecomposition of the normal operator
 (oracle, small bases) or by power iteration that reuses one LU
 factorization per resolvent parameter, with the adjoint applied through
-conjugation.
+conjugation. Everything runs in the arithmetic of lam (SectorSample.dtype):
+real on the positive real axis, complex elsewhere.
 """
 from __future__ import annotations
 
@@ -17,7 +18,13 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
 from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis, orthonormalize
-from .solver import NumericalError, ResolventOperator, SectorSample, in_resolved_window
+from .solver import (
+    NumericalError,
+    ResolventOperator,
+    SectorSample,
+    in_resolved_window,
+    split_complex,
+)
 
 __all__ = [
     "OperatorSpec",
@@ -42,7 +49,7 @@ OUTPUTS = (
 )
 INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
 
-POWER_TOL = 1e-8
+POWER_TOL = 1e-11
 POWER_MAXIT = 500
 
 
@@ -86,21 +93,25 @@ def broken_h2_seminorm(space: TaylorHoodSpace, coeffs, region=None):
     return float(np.sqrt(np.sum(areas * mag2)))
 
 
-def _dual_solver(system: AssembledSystem, flavor: str):
-    cache = system.space._dual_cache
-    with system.space._dual_lock:
-        if flavor not in cache:
-            K = {"H1_zero_dual": system.K10, "H1_full_dual": system.K1}[flavor]
-            cache[flavor] = spla.factorized(K.tocsc().astype(complex))
-        return cache[flavor]
+def _gram_solver(system: AssembledSystem, norm: str):
+    """Solve with the Gram matrix of an input norm (M_v for "L2", the H1
+    Grams K10 and K1 for the dual flavors). Each real Gram is factored
+    once per system, on first use; complex loads are split."""
+    space = system.space
+    grams = {"L2": system.M_v, "H1_zero_dual": system.K10, "H1_full_dual": system.K1}
+    with space._lock:
+        if norm not in space._gram_cache:
+            K = grams[norm].tocsc()
+            space._gram_cache[norm] = split_complex(spla.factorized(K))
+        return space._gram_cache[norm]
 
 
 def dual_h_minus1_norm(system: AssembledSystem, load, flavor: str = "H1_zero_dual"):
     """Dual norm (l* K^{-1} l)^(1/2) against the H1 Gram of the flavor."""
     if flavor not in ("H1_zero_dual", "H1_full_dual"):
         raise ValueError(f"unknown dual flavor {flavor!r}")
-    solve = _dual_solver(system, flavor)
-    load = np.asarray(load, dtype=complex)
+    solve = _gram_solver(system, flavor)
+    load = np.asarray(load)
     if flavor == "H1_zero_dual":
         # the functional only acts on zero-trace fields
         load = load.copy()
@@ -157,13 +168,15 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
     if spec.output == "phi":
         return None, lambda p: system.M_q @ p
     if spec.output == "u_h_minus1":
-        solve = _dual_solver(system, "H1_zero_dual")
+        solve = _gram_solver(system, "H1_zero_dual")
         mask = np.ones(system.space.n_vel)
         mask[system.space.boundary_vel_dofs] = 0.0
 
+        # M_v D K10^{-1} D M_v with D the zero-trace mask: symmetric, so
+        # the normal operator stays Hermitian on every boundary condition
         def weight(u):
             load = mask * (system.M_v @ u)
-            return mask * (system.M_v @ (mask * solve(load)))
+            return system.M_v @ (mask * solve(load))
 
         return weight, None
     raise ValueError(spec.output)
@@ -185,11 +198,9 @@ def _make_apply_H(spec, basis, system, op):
 
     def apply_H(c):
         u, phi = op.solve(MZ @ c)
-        gu = Wu(u) if Wu is not None else None
+        gu = Wu(u) if Wu is not None else np.zeros(system.space.n_vel)
         gp = Wp(phi) if Wp is not None else None
-        w, _ = op.solve_adjoint(
-            gu if gu is not None else np.zeros(system.space.n_vel, dtype=complex), gp
-        )
+        w, _ = op.solve_adjoint(gu, gp)
         return MZ.T @ w
 
     return apply_H
@@ -200,8 +211,7 @@ def _input_gram(system, Z, flavor):
     MZ = np.asarray(system.M_v @ Z)
     if flavor == "H1_zero_dual":
         MZ[system.space.boundary_vel_dofs, :] = 0.0
-    # K and M_v Z are real, so the solve's imaginary part is exactly zero
-    G = MZ.T @ _dual_solver(system, flavor)(MZ).real
+    G = MZ.T @ _gram_solver(system, flavor)(MZ)
     return 0.5 * (G + G.T)
 
 
@@ -211,9 +221,10 @@ def dual_basis(system: AssembledSystem, basis: SolenoidalBasis, flavor: str):
     return SolenoidalBasis(Z=Z, flavor=basis.flavor, norm=flavor)
 
 
-def _power_iteration(matvec, dim, seed, M=None):
-    """Largest eigenvalue of a Hermitian PSD operator by Ritz-accelerated
-    power iteration (Lanczos) with a fixed seed start vector.
+def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
+    """Largest eigenvalue of a Hermitian PSD operator of the given dtype by
+    Ritz-accelerated power iteration (Lanczos) with a fixed seed start
+    vector; with M (and its inverse Minv) the pencil (matvec, M).
 
     Plain power steps stall when the top of the spectrum is clustered;
     Rayleigh-Ritz extraction over the iterated subspace restores the
@@ -221,7 +232,9 @@ def _power_iteration(matvec, dim, seed, M=None):
     converged, gap estimate).
     """
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v0 = rng.standard_normal(dim)
+    if dtype == np.complex128:
+        v0 = v0 + 1j * rng.standard_normal(dim)
     count = [0]
 
     def counted(c):
@@ -229,18 +242,19 @@ def _power_iteration(matvec, dim, seed, M=None):
         return matvec(c)
 
     if dim <= 2:
-        H = np.column_stack([counted(e.astype(complex)) for e in np.eye(dim)])
+        H = np.column_stack([counted(e.astype(dtype)) for e in np.eye(dim)])
         nu = float(np.max(np.real(np.linalg.eigvals(H))))
         return nu, count[0], True, 0.0
-    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=complex)
+    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=dtype)
     try:
         vals = spla.eigsh(
             op,
             k=1,
             M=M,
+            Minv=Minv,
             which="LA",
             v0=v0,
-            tol=1e-11,
+            tol=POWER_TOL,
             maxiter=POWER_MAXIT,
             return_eigenvectors=False,
         )
@@ -277,13 +291,13 @@ def operator_norm(
         op = ResolventOperator(system, spec.bc, spec.lam)
     apply_H = _make_apply_H(spec, basis, system, op)
     if method == "dense_eig":
-        Hm = np.column_stack([apply_H(e) for e in np.eye(basis.dim, dtype=complex)])
+        Hm = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
         vals = np.linalg.eigvals(Hm)
         nu = float(np.max(np.real(vals)))
         return OperatorNormResult(value=float(np.sqrt(max(nu, 0.0))), method=method)
     if method != "power_iteration":
         raise ValueError(f"unknown method {method!r}")
-    nu, iters, ok, gap = _power_iteration(apply_H, basis.dim, seed)
+    nu, iters, ok, gap = _power_iteration(apply_H, basis.dim, seed, spec.lam.dtype)
     return OperatorNormResult(
         value=float(np.sqrt(max(nu, 0.0))),
         method=method,
@@ -305,15 +319,20 @@ def _operator_norm_implicit(
 
     def matvec(f):
         u, phi = op.solve(system.M_v @ f)
-        gu = Wu(u) if Wu is not None else np.zeros(space.n_vel, dtype=complex)
+        gu = Wu(u) if Wu is not None else np.zeros(space.n_vel)
         gp = Wp(phi) if Wp is not None else None
         y, _ = op.solve_adjoint(gu, gp)
         # the normal operator in the M inner product is f -> proj(y);
         # hand the pencil (M proj(y), M) to the eigensolver
         return system.M_v @ proj.project(y)
 
+    # ARPACK mode 2 would factor M_v on every call; hand it the cached one
+    dtype = spec.lam.dtype
+    Minv = spla.LinearOperator(
+        system.M_v.shape, matvec=_gram_solver(system, "L2"), dtype=dtype
+    )
     nu, iters, ok, gap = _power_iteration(
-        matvec, space.n_vel, seed, M=system.M_v.tocsc()
+        matvec, space.n_vel, seed, dtype, M=system.M_v, Minv=Minv
     )
     return OperatorNormResult(
         value=float(np.sqrt(max(nu, 0.0))),

@@ -1,6 +1,7 @@
-"""Direct solves of the discrete complex Stokes resolvent saddle problem.
+"""Direct solves of the discrete Stokes resolvent saddle problem.
 
-The block system is assembled complex symmetric,
+The block system is assembled symmetric, real for a real lam and complex
+otherwise,
 
     [ lam M + A   -B^T ] [u  ]   [F]
     [   -B          0  ] [phi] = [0],
@@ -33,6 +34,7 @@ __all__ = [
     "residual_report",
     "in_resolved_window",
     "NumericalError",
+    "split_complex",
 ]
 
 
@@ -46,6 +48,20 @@ def in_resolved_window(abs_lam: float, h: float) -> bool:
     """True when |lam| <= 1/h^2, the range where a mesh of size h resolves
     the boundary layer (with a relative slack of 1e-9 for grid rounding)."""
     return abs_lam <= (1.0 / h**2) * (1.0 + 1e-9)
+
+
+def split_complex(solve):
+    """Let the solve of a real factorization take complex loads: a real
+    factor cannot hold their imaginary part, so the real and imaginary
+    parts are solved apart."""
+
+    def solve_any(b):
+        b = np.asarray(b)
+        if np.iscomplexobj(b):
+            return solve(b.real) + 1j * solve(b.imag)
+        return solve(b)
+
+    return solve_any
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,12 @@ class SectorSample:
     def conjugate(self) -> "SectorSample":
         return SectorSample(np.conj(complex(self.lam)), self.theta)
 
+    @property
+    def dtype(self):
+        """The arithmetic of the solves at lam: real on the positive real
+        axis, complex elsewhere."""
+        return np.float64 if complex(self.lam).imag == 0 else np.complex128
+
 
 @dataclass
 class ResolventSolution:
@@ -85,9 +107,9 @@ class ResolventSolution:
 class ResolventOperator:
     """The discrete resolvent map F -> (u, phi) for one (bc, lam) pair.
 
-    Factorizes once with sparse LU; solves for many right-hand sides (and
-    adjoints) are cheap. Instances are independent across lam and safe to
-    use from separate threads.
+    Factorizes once with sparse LU, in the arithmetic of lam.dtype; solves
+    for many right-hand sides (and adjoints) are cheap. Instances are
+    independent across lam and safe to use from separate threads.
     """
 
     def __init__(self, system: AssembledSystem, bc: BoundaryCondition, lam: SectorSample):
@@ -98,10 +120,12 @@ class ResolventOperator:
         self.n_vel = space.n_vel
         self.n_pres = space.n_pres
         lam_c = complex(lam.lam)
+        real = lam.dtype == np.float64
+        z = lam_c.real if real else lam_c
         if bc.is_dirichlet:
             keep = np.ones(self.n_vel, dtype=bool)
             keep[space.boundary_vel_dofs] = False
-            S = _eliminate(lam_c * system.M_v + system.A0, keep)
+            S = _eliminate(z * system.M_v + system.A0, keep)
             Bt = system.B @ sp.diags(keep.astype(float))
             m = np.asarray(system.M_q @ np.ones(self.n_pres)).reshape(-1, 1)
             K = sp.bmat(
@@ -116,14 +140,15 @@ class ResolventOperator:
             self._B = Bt
             self.n_extra = 1
         else:
-            S = lam_c * system.M_v + system.A_mu
+            S = z * system.M_v + system.A_mu
             K = sp.bmat([[S, -system.B.T], [-system.B, None]], format="csc")
             self._keep = None
             self._B = system.B
             self.n_extra = 0
         self._S = S.tocsr()
         # a singular K raises RuntimeError here
-        self._lu = spla.splu(K)
+        solve = spla.splu(K).solve
+        self._solve = split_complex(solve) if real else solve
         self.warnings: list[str] = []
         h = space.mesh.h
         if not in_resolved_window(abs(lam_c), h):
@@ -133,26 +158,30 @@ class ResolventOperator:
             )
 
     def _pack(self, Fv, Fp=None):
-        Fv = np.asarray(Fv, dtype=complex)
+        """The block load, in the loads' own arithmetic."""
+        Fv = np.asarray(Fv)
         if self._keep is not None:
             Fv = Fv * self._keep
-        rest = np.zeros(self.n_pres + self.n_extra, dtype=complex)
+        loads = (Fv,) if Fp is None else (Fv, np.asarray(Fp))
+        rest = np.zeros(self.n_pres + self.n_extra, np.result_type(float, *loads))
         if Fp is not None:
             rest[: self.n_pres] = Fp
         return np.concatenate([Fv, rest])
 
+    def _blocks(self, x):
+        return x[: self.n_vel], x[self.n_vel : self.n_vel + self.n_pres]
+
     def solve(self, Fv, Fp=None):
         """Velocity (and optional pressure) load -> (u, phi) coefficients."""
-        x = self._lu.solve(self._pack(Fv, Fp))
-        return x[: self.n_vel], x[self.n_vel : self.n_vel + self.n_pres]
+        return self._blocks(self._solve(self._pack(Fv, Fp)))
 
     def solve_adjoint(self, Gv, Gp=None):
         """Solve the adjoint block system for block loads.
 
-        K is complex symmetric, so K^H = conj(K) and the adjoint solve is
-        the conjugate of a forward solve with the conjugated load."""
-        x = np.conj(self._lu.solve(np.conj(self._pack(Gv, Gp))))
-        return x[: self.n_vel], x[self.n_vel : self.n_vel + self.n_pres]
+        K is symmetric, so K^H = conj(K) and the adjoint solve is the
+        conjugate of a forward solve with the conjugated load; for a real
+        K that is the forward solve itself."""
+        return self._blocks(np.conj(self._solve(np.conj(self._pack(Gv, Gp)))))
 
     def residuals(self, u, phi, Fv):
         Fv = np.asarray(Fv, dtype=complex)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,49 @@ def interp_velocity(space, fx, fy):
     coeffs[0::2] = fx(x, y)
     coeffs[1::2] = fy(x, y)
     return coeffs
+
+
+def test_space_caches_fill_once_across_threads(monkeypatch):
+    from srlab import fem
+
+    # a fresh space: nothing cached yet; more threads than cores, released
+    # together
+    space = build_space(triangulate(unit_square(), np.sqrt(2.0) / 4))
+    rules, scatters = [], []
+    triangle_rule, scatter = fem.triangle_rule, fem._scatter
+
+    def slow_rule(degree):
+        rules.append(degree)
+        # hold the window in which another thread could fill the entry again
+        threading.Event().wait(0.2)
+        return triangle_rule(degree)
+
+    def counted_scatter(*args):
+        scatters.append(1)
+        return scatter(*args)
+
+    monkeypatch.setattr(fem, "triangle_rule", slow_rule)
+    monkeypatch.setattr(fem, "_scatter", counted_scatter)
+    n_threads = 4
+    all_waiting = threading.Barrier(n_threads, timeout=10)
+    results = []
+
+    def work():
+        all_waiting.wait()
+        results.append((space.quad_data(8), fem._scalar_p2_matrices(space)))
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    # one rule per degree (8 here, 4 for the P2 matrices); six scattered
+    # blocks: mass, stiffness and the four gradient products
+    assert sorted(rules) == [4, 8]
+    assert len(scatters) == 6
+    assert len(results) == n_threads
+    assert all(q is results[0][0] and m is results[0][1] for q, m in results)
 
 
 def test_dof_counts(coarse_space, fine_space):

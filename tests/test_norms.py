@@ -24,7 +24,7 @@ from srlab.norms import (
     lp_norm,
     operator_norm,
 )
-from srlab.solver import SectorSample
+from srlab.solver import ResolventOperator, SectorSample
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,24 @@ def test_power_vs_dense(sys2, output):
     assert power.value == pytest.approx(dense.value, rel=1e-6)
 
 
+@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
+def test_normal_operator_is_hermitian(sys2, bc_kind):
+    # a real lam runs symmetric Lanczos, which needs H = T* W T Hermitian
+    # for every output weight W
+    bc = BoundaryCondition(bc_kind)
+    basis = solenoidal_basis(sys2, "L2_sigma" if bc.is_dirichlet else "calL2_sigma")
+    lam = SectorSample(5.0)
+    op = ResolventOperator(sys2, bc, lam)
+    for output in norms.OUTPUTS:
+        spec = OperatorSpec(output, bc, lam)
+        apply_H = norms._make_apply_H(spec, basis, sys2, op)
+        H = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
+        assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max(), output
+        dense = operator_norm(spec, basis, sys2, method="dense_eig")
+        power = operator_norm(spec, basis, sys2, operator=op)
+        assert power.value == pytest.approx(dense.value, rel=1e-10), output
+
+
 def test_operator_norm_basis_rotation_invariance(sys2):
     basis = solenoidal_basis(sys2, "L2_sigma")
     rng = np.random.default_rng(4)
@@ -156,8 +174,6 @@ def test_operator_norm_implicit_matches_explicit(sys2):
 
 def test_dual_input_operator_norm_singleton(sys2):
     # one-column basis: value must match a direct computation
-    from srlab.solver import ResolventOperator
-
     full = solenoidal_basis(sys2, "L2_sigma")
     z = full.Z[:, :1]
     G = _input_gram(sys2, z, "H1_zero_dual")
@@ -206,7 +222,7 @@ def test_dual_solver_factors_once_across_threads(monkeypatch):
 
     def work():
         all_waiting.wait()
-        solvers.append(norms._dual_solver(system, "H1_zero_dual"))
+        solvers.append(norms._gram_solver(system, "H1_zero_dual"))
 
     threads = [threading.Thread(target=work) for _ in range(n_threads)]
     for t in threads:
@@ -216,6 +232,39 @@ def test_dual_solver_factors_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
     assert len(solvers) == n_threads and all(s is solvers[0] for s in solvers)
+
+
+def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    from srlab.experiments import default_lambda_grid, sweep_pressure_decay
+
+    # a fresh system: its space holds no M_v factorization yet
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 8)))
+    proj = ImplicitSolenoidalProjector(system, "calL2_sigma")
+    eigsh_lus, factored = [], []
+    init = arpack.SpLuInv.__init__
+    factorized = spla.factorized
+
+    def counted_init(self, M):
+        eigsh_lus.append(1)
+        init(self, M)
+
+    def counted_factorized(A):
+        factored.append(A.shape)
+        return factorized(A)
+
+    monkeypatch.setattr(arpack.SpLuInv, "__init__", counted_init)
+    monkeypatch.setattr(spla, "factorized", counted_factorized)
+    record, _ = sweep_pressure_decay(
+        system,
+        BoundaryCondition("neumann"),
+        lam_grid=default_lambda_grid(-1.0, 1.0, 5),
+        basis=proj,
+    )
+    assert len(record.samples) == 5 and all(s["C_pressure"] > 0 for s in record.samples)
+    assert eigsh_lus == []
+    assert factored == [system.M_v.shape]
 
 
 def test_fit_exact_half():

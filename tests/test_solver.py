@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from srlab.fem import BoundaryCondition, BoundaryG, VolumeF, build_space, build_system
 from srlab.geometry import triangulate, unit_square
@@ -84,12 +85,20 @@ def test_conjugation_symmetry():
     )
 
 
-@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
-def test_adjoint_solve(bc_kind):
+@pytest.mark.parametrize(
+    "bc_kind, lam",
+    [
+        pytest.param("neumann", 1 + 2j, id="neumann"),
+        pytest.param("dirichlet", 1 + 2j, id="dirichlet"),
+        pytest.param("neumann", 2.0, id="neumann-real"),
+        pytest.param("dirichlet", 2.0, id="dirichlet-real"),
+    ],
+)
+def test_adjoint_solve(bc_kind, lam):
     bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
     space = build_space(triangulate(unit_square(), 0.3))
     system = build_system(space, mu=bc.mu)
-    op = ResolventOperator(system, bc, SectorSample(1 + 2j))
+    op = ResolventOperator(system, bc, SectorSample(lam))
     rng = np.random.default_rng(3)
     f = rng.standard_normal(space.n_vel) + 1j * rng.standard_normal(space.n_vel)
     g = rng.standard_normal(space.n_vel) + 1j * rng.standard_normal(space.n_vel)
@@ -99,6 +108,49 @@ def test_adjoint_solve(bc_kind):
     lhs = np.vdot(g, u_f)
     rhs = np.vdot(u_g, f)
     assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+
+def _real_operator(bc_kind, monkeypatch):
+    """A real-lam operator and the saddle matrix it factored."""
+    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
+    space = build_space(triangulate(unit_square(), 0.3))
+    system = build_system(space, mu=bc.mu)
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda K: factored.append(K) or splu(K))
+    op = ResolventOperator(system, bc, SectorSample(2.0))
+    monkeypatch.setattr(spla, "splu", splu)
+    return op, factored[0]
+
+
+@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
+def test_real_lambda_solves_in_real_arithmetic(bc_kind, monkeypatch):
+    op, K = _real_operator(bc_kind, monkeypatch)
+    assert K.dtype == np.float64
+    f = np.random.default_rng(5).standard_normal(op.n_vel)
+    u, phi = op.solve(f)
+    assert u.dtype == np.float64 and phi.dtype == np.float64
+    x = spla.splu(K.astype(complex)).solve(op._pack(f).astype(complex))
+    ref = x[: op.n_vel + op.n_pres]
+    got = np.concatenate([u, phi])
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    # K is real symmetric: the adjoint solve is the forward solve
+    u_a, phi_a = op.solve_adjoint(f)
+    assert np.array_equal(u_a, u) and np.array_equal(phi_a, phi)
+
+
+@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
+def test_complex_load_on_real_factor_splits(bc_kind, monkeypatch):
+    op, K = _real_operator(bc_kind, monkeypatch)
+    assert K.dtype == np.float64
+    rng = np.random.default_rng(6)
+    fr, fi = rng.standard_normal((2, op.n_vel))
+    pr, pi = rng.standard_normal((2, op.n_pres))
+    for solve in (op.solve, op.solve_adjoint):
+        u, phi = solve(fr + 1j * fi, pr + 1j * pi)
+        (ur, phir), (ui, phii) = solve(fr, pr), solve(fi, pi)
+        assert np.array_equal(u, ur + 1j * ui)
+        assert np.array_equal(phi, phir + 1j * phii)
 
 
 def test_sector_sample_validation():
