@@ -42,6 +42,7 @@ from .geometry import (
     unit_square,
     write_tmesh2d,
 )
+from .helmholtz import DENSE_BASIS_LIMIT
 from .norms import lp_norm
 from .solver import NumericalError, SectorSample, solve_resolvent
 
@@ -320,8 +321,14 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 def cmd_sweep(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     mesh = build_mesh(cfg)
     space = build_space(mesh)
-    system = build_system(space, mu=cfg.mu)
     dual = bool(cfg.extras.get("dual", False))
+    if dual and space.n_vel > DENSE_BASIS_LIMIT:
+        # the dual input norm has only the dense explicit basis
+        raise ConfigError(
+            f"a dual sweep builds a dense solenoidal basis: n_vel = "
+            f"{space.n_vel} exceeds its limit {DENSE_BASIS_LIMIT}"
+        )
+    system = build_system(space, mu=cfg.mu)
     runner = sweep_pressure_dual if dual else sweep_pressure_decay
 
     def one_ray(ray):

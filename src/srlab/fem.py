@@ -418,10 +418,10 @@ class BoundaryG:
 
 
 def load_vector(space: TaylorHoodSpace, rhs, bc: BoundaryCondition | None = None):
-    """Assemble the load vector of a single right-hand-side part."""
+    """Assemble the load vector of a single right-hand-side part, real for
+    real data and complex otherwise."""
     if isinstance(rhs, (VolumeF, DivergenceF)):
         phys, wts, p2v, g2, _, _ = space.quad_data(8)
-        load = np.zeros(space.n_vel, dtype=complex)
         flat = phys.reshape(-1, 2)
         if isinstance(rhs, VolumeF):
             fv = np.asarray(rhs.f(flat)).reshape(phys.shape[0], phys.shape[1], 2)
@@ -429,15 +429,14 @@ def load_vector(space: TaylorHoodSpace, rhs, bc: BoundaryCondition | None = None
         else:
             Fv = np.asarray(rhs.F(flat)).reshape(phys.shape[0], phys.shape[1], 2, 2)
             loc = -np.einsum("eq,eqab,eqnb->ena", wts, Fv, g2)
-        for a in range(2):
-            np.add.at(load, 2 * space.cells6 + a, loc[..., a])
+        dofs = 2 * space.cells6[..., None] + np.arange(2)
     elif isinstance(rhs, BoundaryG):
         if bc is not None and bc.is_dirichlet:
             raise ValueError("boundary data cannot be combined with a Dirichlet condition")
-        load = np.zeros(space.n_vel, dtype=complex)
         s, w = segment_rule(6)
         trace = _p2_edge_trace(s)  # (nq, 3)
         nv = space.n_vertices
+        dofs, loc = [], []
         for a, b, fid in space.mesh.boundary_edges:
             a, b, fid = int(a), int(b), int(fid)
             mid = nv + space._edge_id[(min(a, b), max(a, b))]
@@ -445,12 +444,13 @@ def load_vector(space: TaylorHoodSpace, rhs, bc: BoundaryCondition | None = None
             pts = pa + np.multiply.outer(s, pb - pa)
             length = np.linalg.norm(pb - pa)
             gv = np.asarray(rhs.g(pts, fid))  # (nq, 2)
-            loc = length * np.einsum("q,qn,qc->nc", w, trace, gv)
-            for c in range(2):
-                for ln, node in enumerate((a, b, mid)):
-                    load[2 * node + c] += loc[ln, c]
+            loc.append(length * np.einsum("q,qn,qc->nc", w, trace, gv))
+            dofs.append(2 * np.array([a, b, mid])[:, None] + np.arange(2))
     else:
         raise TypeError(f"unsupported right-hand side {type(rhs).__name__}")
+    loc = np.asarray(loc)
+    load = np.zeros(space.n_vel, dtype=np.result_type(float, loc))
+    np.add.at(load, np.asarray(dofs), loc)
     if bc is not None and bc.is_dirichlet:
         load[space.boundary_vel_dofs] = 0.0
     return load

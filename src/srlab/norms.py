@@ -52,6 +52,17 @@ INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
 POWER_TOL = 1e-11
 POWER_MAXIT = 500
 
+# (boundary condition, projector flavor) pairs whose adjoint solve lands in
+# the projector's range when the output weights only the velocity: the
+# solve's constraint rows give B y = 0 (and y = 0 on a no-slip boundary),
+# which implies the projector's constraints. Under the natural condition
+# the normal trace of y is free, so "L2_sigma" still needs the projection.
+_ADJOINT_IN_RANGE = {
+    ("neumann", "calL2_sigma"),
+    ("dirichlet", "L2_sigma"),
+    ("dirichlet", "calL2_sigma"),
+}
+
 
 def lp_norm(space: TaylorHoodSpace, coeffs, p: float, region=None, kind="velocity"):
     """(sum_T int_T |field|^p)^(1/p) over the given elements (default all)."""
@@ -316,15 +327,21 @@ def _operator_norm_implicit(
     space = system.space
     op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
     Wu, Wp = _output_weights(spec, system)
+    # where y already lies in the range of P, the full-space normal
+    # operator H is M-symmetric with H = P H, hence H = P H P: it has the
+    # top eigenvalue of the operator on range(P), and P y = y needs no solve
+    lands_in_range = Wp is None and (spec.bc.tag, proj.flavor) in _ADJOINT_IN_RANGE
 
     def matvec(f):
         u, phi = op.solve(system.M_v @ f)
         gu = Wu(u) if Wu is not None else np.zeros(space.n_vel)
         gp = Wp(phi) if Wp is not None else None
         y, _ = op.solve_adjoint(gu, gp)
+        if not lands_in_range:
+            y = proj.project(y)
         # the normal operator in the M inner product is f -> proj(y);
         # hand the pencil (M proj(y), M) to the eigensolver
-        return system.M_v @ proj.project(y)
+        return system.M_v @ y
 
     # ARPACK mode 2 would factor M_v on every call; hand it the cached one
     dtype = spec.lam.dtype

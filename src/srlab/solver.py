@@ -184,7 +184,7 @@ class ResolventOperator:
         return self._blocks(np.conj(self._solve(np.conj(self._pack(Gv, Gp)))))
 
     def residuals(self, u, phi, Fv):
-        Fv = np.asarray(Fv, dtype=complex)
+        Fv = np.asarray(Fv)
         if self._keep is not None:
             Fv = Fv * self._keep
         mom = self._S @ u - self._B.T @ phi - Fv
@@ -197,15 +197,16 @@ class ResolventOperator:
 
 
 def _assemble_load(system, bc, rhs):
+    """The velocity load of rhs, in the data's own arithmetic."""
     parts = rhs if isinstance(rhs, (list, tuple)) else [rhs]
     if isinstance(rhs, np.ndarray):
-        return np.asarray(rhs, dtype=complex), "vector"
-    load = np.zeros(system.space.n_vel, dtype=complex)
+        return rhs.astype(np.result_type(float, rhs), copy=False), "vector"
+    load = np.zeros(system.space.n_vel)
     labels = []
     for part in parts:
         if bc.is_dirichlet and isinstance(part, BoundaryG):
             raise ValueError("boundary data cannot be combined with a Dirichlet condition")
-        load += load_vector(system.space, part, bc)
+        load = load + load_vector(system.space, part, bc)
         labels.append(part.label())
     return load, "+".join(labels)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srlab import __version__
+from srlab import __version__, cli
 from srlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -13,6 +13,7 @@ from srlab.cli import (
     main,
 )
 from srlab.geometry import read_tmesh2d
+from srlab.helmholtz import DENSE_BASIS_LIMIT
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -210,6 +211,24 @@ def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+
+
+def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
+    # level 5 has 8,450 velocity dofs, beyond the dense basis limit
+    built = []
+    monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
+    cfg = write_cfg(
+        tmp_path,
+        level=5,
+        dual=True,
+        **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+    assert built == []
+    assert not list(tmp_path.rglob("*.csv"))
+    err = capsys.readouterr().err
+    assert "n_vel = 8450" in err and str(DENSE_BASIS_LIMIT) in err
 
 
 def test_check_grisvard_subcommand(tmp_path):

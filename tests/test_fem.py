@@ -228,6 +228,25 @@ def test_load_boundary_normal(fine_space):
     assert np.real(u @ load) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "part,field",
+    [
+        (VolumeF, lambda p: np.stack([p[:, 0], p[:, 1] ** 2], axis=-1)),
+        (DivergenceF, lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2))),
+        (BoundaryG, lambda pts, fid: np.cos(pts + fid)),
+    ],
+    ids=["volume", "divergence", "boundary"],
+)
+def test_load_takes_the_data_dtype(fine_space, part, field):
+    load = load_vector(fine_space, part(field))
+    assert load.dtype == np.float64
+    complex_load = load_vector(
+        fine_space, part(lambda *args: (1 + 2j) * np.asarray(field(*args)))
+    )
+    assert complex_load.dtype == np.complex128
+    assert np.max(np.abs(complex_load - (1 + 2j) * load)) < 1e-14
+
+
 def test_load_boundary_rejects_dirichlet(fine_space):
     with pytest.raises(ValueError):
         load_vector(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from srlab import norms
+from srlab import experiments, norms
 from srlab.fem import BoundaryCondition, build_space, build_system
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
@@ -163,13 +163,46 @@ def test_operator_norm_basis_rotation_invariance(sys2):
     assert a.value == pytest.approx(b.value, rel=1e-8)
 
 
-def test_operator_norm_implicit_matches_explicit(sys2):
-    basis = solenoidal_basis(sys2, "calL2_sigma")
-    proj = ImplicitSolenoidalProjector(sys2, "calL2_sigma")
-    spec = OperatorSpec("sqrt_lam_phi", BoundaryCondition("neumann"), SectorSample(5.0))
+# every (bc, flavor) pair; (neumann, L2_sigma) is the one whose adjoint
+# solve leaves the projector's range, so its velocity outputs must project
+BC_FLAVORS = [
+    ("neumann", "calL2_sigma"),
+    ("neumann", "L2_sigma"),
+    ("dirichlet", "L2_sigma"),
+    ("dirichlet", "calL2_sigma"),
+]
+
+
+@pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
+@pytest.mark.parametrize("bc_kind,flavor", BC_FLAVORS)
+@pytest.mark.parametrize(
+    "output", ["lam_u", "sqrt_lam_grad_u", "u", "phi", "sqrt_lam_phi"]
+)
+def test_operator_norm_implicit_matches_explicit(sys2, output, bc_kind, flavor, lam):
+    basis = solenoidal_basis(sys2, flavor)
+    proj = ImplicitSolenoidalProjector(sys2, flavor)
+    spec = OperatorSpec(output, BoundaryCondition(bc_kind), SectorSample(lam))
     explicit = operator_norm(spec, basis, sys2, method="dense_eig")
     implicit = operator_norm(spec, proj, sys2)
-    assert implicit.value == pytest.approx(explicit.value, rel=1e-6)
+    assert implicit.converged
+    assert implicit.value == pytest.approx(explicit.value, rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
+@pytest.mark.parametrize("bc_kind,flavor", BC_FLAVORS)
+def test_velocity_only_adjoint_solve_lands_in_projector_range(
+    sys2, bc_kind, flavor, lam
+):
+    # the invariant behind skipping the projection for velocity outputs
+    op = ResolventOperator(sys2, BoundaryCondition(bc_kind), SectorSample(lam))
+    proj = ImplicitSolenoidalProjector(sys2, flavor)
+    gu = np.random.default_rng(5).standard_normal(sys2.space.n_vel)
+    y, _ = op.solve_adjoint(gu)
+    gap = np.linalg.norm(proj.project(y) - y) / np.linalg.norm(y)
+    if (bc_kind, flavor) in norms._ADJOINT_IN_RANGE:
+        assert gap <= 1e-12
+    else:
+        assert gap > 1e-3
 
 
 def test_dual_input_operator_norm_singleton(sys2):
@@ -265,6 +298,35 @@ def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
     assert len(record.samples) == 5 and all(s["C_pressure"] > 0 for s in record.samples)
     assert eigsh_lus == []
     assert factored == [system.M_v.shape]
+
+
+def test_implicit_sweep_projects_only_for_pressure_outputs(monkeypatch):
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 8)))
+    proj = ImplicitSolenoidalProjector(system, "calL2_sigma")
+    projections, matvecs = [], {}
+    project = ImplicitSolenoidalProjector.project
+    measure = norms.operator_norm
+
+    def counted_project(self, f):
+        projections.append(1)
+        return project(self, f)
+
+    def counted_operator_norm(spec, *args, **kwargs):
+        res = measure(spec, *args, **kwargs)
+        matvecs[spec.output] = matvecs.get(spec.output, 0) + res.iterations
+        return res
+
+    monkeypatch.setattr(ImplicitSolenoidalProjector, "project", counted_project)
+    monkeypatch.setattr(experiments, "operator_norm", counted_operator_norm)
+    experiments.sweep_pressure_decay(
+        system,
+        BoundaryCondition("neumann"),
+        lam_grid=experiments.default_lambda_grid(-1.0, 1.0, 5),
+        basis=proj,
+    )
+    assert set(matvecs) == {"phi", "lam_u", "sqrt_lam_grad_u"}
+    assert min(matvecs.values()) > 0
+    assert len(projections) == matvecs["phi"]
 
 
 def test_fit_exact_half():

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from srlab.fem import BoundaryCondition, BoundaryG, VolumeF, build_space, build_system
+from srlab.fem import (
+    BoundaryCondition,
+    BoundaryG,
+    VolumeF,
+    build_space,
+    build_system,
+    load_vector,
+)
 from srlab.geometry import triangulate, unit_square
 from srlab.manufactured import dirichlet_square_case, l2_errors, neumann_square_case
 from srlab.solver import (
@@ -151,6 +158,38 @@ def test_complex_load_on_real_factor_splits(bc_kind, monkeypatch):
         (ur, phir), (ui, phii) = solve(fr, pr), solve(fi, pi)
         assert np.array_equal(u, ur + 1j * ui)
         assert np.array_equal(phi, phir + 1j * phii)
+
+
+@pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
+def test_real_load_on_real_lambda_solves_once(bc_kind, monkeypatch):
+    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
+    system = build_system(build_space(triangulate(unit_square(), 0.3)), mu=bc.mu)
+    rhs = [VolumeF(lambda p: np.stack([np.sin(3 * p[:, 1]), p[:, 0] ** 2], axis=-1))]
+    if bc_kind == "neumann":
+        rhs.append(BoundaryG(lambda pts, fid: np.cos(pts + fid)))
+    loads = []
+    splu = spla.splu
+
+    class CountedLU:
+        def __init__(self, K):
+            self.lu = splu(K)
+
+        def solve(self, b):
+            loads.append(b.dtype)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spla, "splu", CountedLU)
+    op = ResolventOperator(system, bc, SectorSample(7.0))
+    sol = solve_resolvent(system, bc, op.lam, rhs, operator=op)
+    assert loads == [np.float64]
+    assert sol.u.dtype == np.float64 and sol.phi.dtype == np.float64
+    # the same load held in complex arithmetic, as it was before real loads
+    Fv = sum(load_vector(system.space, part, bc) for part in rhs)
+    u, phi = op.solve(Fv.astype(complex))
+    ref = np.concatenate([u, phi])
+    got = np.concatenate([sol.u, sol.phi])
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert sol.residual_momentum < 1e-10 and sol.residual_divergence < 1e-10
 
 
 def test_sector_sample_validation():
