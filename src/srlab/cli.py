@@ -30,6 +30,7 @@ from .experiments import (
     sweep_pressure_decay,
     sweep_pressure_dual,
     write_fit_json,
+    write_json,
     write_report_csv,
     write_sweep_csv,
 )
@@ -188,12 +189,6 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, f"{cfg.experiment_id}_{name}")
 
 
-def _write_json(path, payload, comment):
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _resolve_threads(flag_value) -> int:
     n = flag_value
     if n is None:
@@ -271,7 +266,7 @@ def cmd_solve(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
         "residual_momentum": sol.residual_momentum,
         "residual_divergence": sol.residual_divergence,
     }
-    _write_json(_out_path(cfg, "solve.json"), payload, _comment(cfg))
+    write_json(_out_path(cfg, "solve.json"), payload, _comment(cfg))
     return 0
 
 
@@ -314,7 +309,7 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
         "min_order_u": min(orders_u),
         "min_order_phi": min(orders_p),
     }
-    _write_json(_out_path(cfg, "convergence.json"), payload, _comment(cfg))
+    write_json(_out_path(cfg, "convergence.json"), payload, _comment(cfg))
     return 0
 
 
@@ -436,7 +431,7 @@ def cmd_check_equivalence(cfg: ExperimentConfig, threads: int, verbose: bool) ->
         "fit_velocity": {"alpha_hat": report.fit_velocity.alpha_hat,
                          "r2": report.fit_velocity.r2},
     }
-    _write_json(_out_path(cfg, "equivalence.json"), payload, _comment(cfg))
+    write_json(_out_path(cfg, "equivalence.json"), payload, _comment(cfg))
     if verbose:
         print(f"gap {report.gap:.4f}", file=sys.stderr)
     return 0

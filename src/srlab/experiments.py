@@ -4,11 +4,14 @@ identity checks, H2-type ratio tables, and localized estimates.
 Each sweep point is an independent factorize+measure; records are
 assembled sorted by |lambda| and written to CSV/JSON with a leading
 comment line so identical configs reproduce byte-identical artifacts.
+One lambda loop, sweep_pressure_decay, serves every operator-norm sweep:
+L2 sweeps run on the implicit projector, and the dual-norm sweeps hand it
+the explicit basis orthonormalized in their dual input norm.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .geometry import (
     triangulate,
 )
 from .helmholtz import (
-    DENSE_BASIS_LIMIT,
     HelmholtzProjector,
     ImplicitSolenoidalProjector,
     solenoidal_basis,
@@ -59,6 +61,7 @@ __all__ = [
     "check_lemma_equivalence",
     "write_sweep_csv",
     "write_report_csv",
+    "write_json",
     "write_fit_json",
 ]
 
@@ -178,11 +181,9 @@ def default_lambda_grid(log10_min=0.0, log10_max=4.0, count=17):
     return np.logspace(log10_min, log10_max, count)
 
 
-def _default_basis(system: AssembledSystem, bc: BoundaryCondition):
-    flavor = "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
-    if system.space.n_vel <= DENSE_BASIS_LIMIT:
-        return solenoidal_basis(system, flavor)
-    return ImplicitSolenoidalProjector(system, flavor)
+def _flavor(bc: BoundaryCondition) -> str:
+    """The solenoidal input space of a boundary condition."""
+    return "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
 
 
 def _domain_id(system: AssembledSystem) -> str:
@@ -200,6 +201,8 @@ _OUTPUT_COLUMNS = {
     "phi": "C_pressure",
     "lam_u": "C_velocity",
     "sqrt_lam_grad_u": "C_gradient",
+    # not a CSV column: only check_lemma_equivalence reads it
+    "u_h_minus1": "C_velocity_h_minus1",
 }
 
 
@@ -214,15 +217,17 @@ def sweep_pressure_decay(
     seed: int = 0,
     domain_id: str | None = None,
 ):
-    """Operator-norm sweep over a solenoidal input basis; fits the decay
+    """Operator-norm sweep over a solenoidal input space; fits the decay
     exponent of C_pressure(lambda) on the resolved window.
 
-    Neumann conditions measure over the divergence-free basis, Dirichlet
-    over the trace-constrained one. Returns (SweepRecord, DecayFit)."""
+    Neumann conditions measure over the divergence-free fields, Dirichlet
+    over the trace-constrained ones; the input norm is basis.norm, and
+    without a basis the L2 norm on the implicit projector. Returns
+    (SweepRecord, DecayFit)."""
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     if basis is None:
-        basis = _default_basis(system, bc)
+        basis = ImplicitSolenoidalProjector(system, _flavor(bc))
     h = system.space.mesh.h
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
@@ -230,9 +235,10 @@ def sweep_pressure_decay(
         op = ResolventOperator(system, bc, lam)
         row = {"abs_lambda": a, "resolved": in_resolved_window(a, h)}
         for out in outputs:
-            spec = OperatorSpec(out, bc, lam)
+            spec = OperatorSpec(out, bc, lam, input_norm=basis.norm)
             res = operator_norm(spec, basis, system, seed=seed, operator=op)
             row[_OUTPUT_COLUMNS[out]] = _converged(res, spec)
+        del op  # free this factor before the next one is built
         samples.append(row)
     record = SweepRecord(
         domain_id=domain_id if domain_id is not None else _domain_id(system),
@@ -261,38 +267,24 @@ def sweep_pressure_dual(
     The fitted alpha_hat is the decay exponent of the values; the growth
     exponent of interest is its negative. Requires an explicit basis
     (it is orthonormalized once in the dense dual input Gram)."""
-    if lam_grid is None:
-        lam_grid = default_lambda_grid()
     if basis is None:
-        flavor = "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
-        basis = solenoidal_basis(system, flavor)
+        basis = solenoidal_basis(system, _flavor(bc))
     # no-slip loads act on zero-trace test fields, natural-condition loads
     # on the full H1 space; the dual norm follows the test space
     dual = "H1_zero_dual" if bc.is_dirichlet else "H1_full_dual"
+    # rebound, so that a default L2 basis is freed before the sweep
     basis = dual_basis(system, basis, dual)
-    h = system.space.mesh.h
-    samples = []
-    for a in sorted(float(a) for a in np.asarray(lam_grid)):
-        lam = SectorSample(a * np.exp(1j * arg_lambda), theta)
-        spec = OperatorSpec("phi", bc, lam, input_norm=dual)
-        res = operator_norm(spec, basis, system, seed=seed)
-        samples.append(
-            {
-                "abs_lambda": a,
-                "resolved": in_resolved_window(a, h),
-                "C_pressure": _converged(res, spec),
-            }
-        )
-    record = SweepRecord(
-        domain_id=domain_id if domain_id is not None else _domain_id(system),
-        bc_tag=bc.tag,
-        mu=system.mu,
+    return sweep_pressure_decay(
+        system,
+        bc,
+        lam_grid=lam_grid,
         arg_lambda=arg_lambda,
-        h=h,
-        samples=samples,
+        theta=theta,
+        basis=basis,
+        outputs=("phi",),
+        seed=seed,
+        domain_id=domain_id,
     )
-    fit = fit_decay_exponent(record.series("C_pressure"), h=h)
-    return record, fit
 
 
 def _bubble_curl(pts):
@@ -622,18 +614,18 @@ def check_lemma_equivalence(
     bc = BoundaryCondition("dirichlet")
     basis = dual_basis(system, solenoidal_basis(system, "L2_sigma"), "H1_zero_dual")
     h = system.space.mesh.h
-    vals_p, vals_u = [], []
-    for a in sorted(float(a) for a in np.asarray(lam_grid)):
-        if not in_resolved_window(a, h):
-            continue
-        lam = SectorSample(a, theta)
-        op = ResolventOperator(system, bc, lam)
-        for out, acc in (("phi", vals_p), ("u_h_minus1", vals_u)):
-            spec = OperatorSpec(out, bc, lam, input_norm="H1_zero_dual")
-            res = operator_norm(spec, basis, system, seed=seed, operator=op)
-            acc.append((a, _converged(res, spec)))
-    fit_p = fit_decay_exponent(vals_p)
-    fit_u = fit_decay_exponent(vals_u)
+    # unresolved lambda would only be dropped by the fits: never factor them
+    resolved = [a for a in np.asarray(lam_grid) if in_resolved_window(a, h)]
+    record, fit_p = sweep_pressure_decay(
+        system,
+        bc,
+        lam_grid=resolved,
+        theta=theta,
+        basis=basis,
+        outputs=("phi", "u_h_minus1"),
+        seed=seed,
+    )
+    fit_u = fit_decay_exponent(record.series("C_velocity_h_minus1"))
     return EquivalenceReport(
         alpha_pressure_growth=-fit_p.alpha_hat,
         alpha_velocity_decay=fit_u.alpha_hat,
@@ -674,15 +666,13 @@ def write_report_csv(path, reports, comment: str = ""):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_fit_json(path, fit: DecayFit, comment: str = ""):
-    """Write a fit summary as JSON preceded by a comment line."""
-    payload = {
-        "alpha_hat": fit.alpha_hat,
-        "r2": fit.r2,
-        "window_min": fit.window_min,
-        "window_max": fit.window_max,
-        "n_samples": fit.n_samples,
-    }
+def write_json(path, payload, comment: str = ""):
+    """Write a JSON payload preceded by a comment line."""
     with open(path, "w") as fh:
         fh.write(f"# {comment}".rstrip() + "\n")
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_fit_json(path, fit: DecayFit, comment: str = ""):
+    """Write a fit summary as JSON preceded by a comment line."""
+    write_json(path, asdict(fit), comment)

@@ -170,20 +170,17 @@ class TaylorHoodSpace:
         from collections import defaultdict
 
         node_faces: dict[int, set] = defaultdict(set)
-        bedge_mid = []
         for a, b, fid in mesh.boundary_edges:
             m = nv + edge_id[(min(a, b), max(a, b))]
             node_faces[int(a)].add(int(fid))
             node_faces[int(b)].add(int(fid))
             node_faces[m].add(int(fid))
-            bedge_mid.append(m)
         self.node_faces = {n: tuple(sorted(f)) for n, f in node_faces.items()}
         self.boundary_nodes = np.array(sorted(node_faces), dtype=int)
         self.boundary_vel_dofs = np.sort(
             np.concatenate([2 * self.boundary_nodes, 2 * self.boundary_nodes + 1])
         )
         self.boundary_vertex_ids = self.boundary_nodes[self.boundary_nodes < nv]
-        self.boundary_edge_midnodes = np.asarray(bedge_mid, dtype=int)
         # lazily filled caches, shared by the CLI's sweep-ray threads and
         # filled under one lock (reentrant: the P2 matrices read quad_data)
         self._lock = threading.RLock()

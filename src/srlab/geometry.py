@@ -76,10 +76,6 @@ class ConvexPolygon:
             assert nrm @ (mid - centroid) > 0
             self.faces.append(Face(a.copy(), b.copy(), nrm, t))
 
-    @property
-    def n_faces(self) -> int:
-        return len(self.faces)
-
     def area(self) -> float:
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
@@ -233,7 +229,6 @@ class CubePatch:
 
     center: np.ndarray
     r: float
-    alphas: tuple = (1, 2, 4, 8)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))

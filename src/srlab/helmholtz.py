@@ -10,8 +10,10 @@ augmented solve
 whose velocity block x is the projected field. The solenoidal flavors
 constrain the divergence (and the normal trace); the Helmholtz flavors
 P and Q constrain the gradients of the linear nodal potentials, A = C^T,
-so that x = f + M_v^{-1} C chi with the scalar potential chi = -y. The
-explicit basis is a dense SVD of the same constraints, for small meshes.
+so that x = f + M_v^{-1} C chi with the scalar potential chi = -y. L2
+operator norms use the projector at every mesh size; the explicit basis,
+a dense SVD of the same constraints, serves only the dual input norms
+and the tests' dense oracle.
 """
 from __future__ import annotations
 
@@ -97,6 +99,8 @@ class ImplicitSolenoidalProjector:
     potential row (constants span the kernel of C).
     """
 
+    norm = "L2"  # the input norm of the operator norms it serves
+
     def __init__(self, system: AssembledSystem, flavor: str):
         A = constraint_matrix(system, flavor)
         if flavor in ("L2_sigma", "neumann"):
@@ -148,7 +152,8 @@ class HelmholtzProjector(ImplicitSolenoidalProjector):
 
 def solenoidal_basis(system: AssembledSystem, flavor: str) -> SolenoidalBasis:
     """Dense M_v-orthonormal basis of the null space of
-    constraint_matrix(system, flavor), for small meshes."""
+    constraint_matrix(system, flavor), for the dual input norms and the
+    dense oracle."""
     A = constraint_matrix(system, flavor)
     if system.space.n_vel > DENSE_BASIS_LIMIT:
         raise ValueError(

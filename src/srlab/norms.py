@@ -45,7 +45,6 @@ OUTPUTS = (
     "u",
     "phi",
     "u_h_minus1",
-    "identity",
 )
 INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
 
@@ -196,15 +195,6 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
 def _make_apply_H(spec, basis, system, op):
     """Normal-operator application in basis coefficients, H = T* W T."""
     MZ = system.M_v @ basis.Z  # real (n_vel, dim)
-
-    if spec.output == "identity":
-        G = basis.Z.T @ MZ
-
-        def apply_H(c):
-            return G @ c
-
-        return apply_H
-
     Wu, Wp = _output_weights(spec, system)
 
     def apply_H(c):
@@ -286,20 +276,18 @@ def operator_norm(
 ) -> OperatorNormResult:
     """Largest singular value of the input-to-output map over the basis.
 
-    `basis` is either an explicit SolenoidalBasis, orthonormal in the
-    input norm spec.input_norm, or an ImplicitSolenoidalProjector (power
-    iteration only, L2 input). `operator` allows reusing a factorization
-    across calls with the same (bc, lam).
+    `basis` is either an explicit SolenoidalBasis or an
+    ImplicitSolenoidalProjector (power iteration only); either way its
+    `norm` must be spec.input_norm. `operator` allows reusing a
+    factorization across calls with the same (bc, lam).
     """
-    if isinstance(basis, ImplicitSolenoidalProjector):
-        return _operator_norm_implicit(spec, basis, system, seed, operator)
     if spec.input_norm != basis.norm:
         raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
+    if isinstance(basis, ImplicitSolenoidalProjector):
+        return _operator_norm_implicit(spec, basis, system, seed, operator)
     if basis.dim == 0:
         raise NumericalError("empty basis")
-    op = operator
-    if op is None and spec.output != "identity":
-        op = ResolventOperator(system, spec.bc, spec.lam)
+    op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
     apply_H = _make_apply_H(spec, basis, system, op)
     if method == "dense_eig":
         Hm = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
@@ -322,8 +310,6 @@ def _operator_norm_implicit(
     spec, proj: ImplicitSolenoidalProjector, system, seed, operator=None
 ):
     """Power iteration in the full velocity space with implicit projection."""
-    if spec.input_norm != "L2":
-        raise ValueError("implicit projector route supports only L2 input")
     space = system.space
     op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
     Wu, Wp = _output_weights(spec, system)

@@ -82,9 +82,6 @@ class SectorSample:
         elif abs(np.angle(complex(self.lam))) >= self.theta:
             raise ValueError("lam outside the sector")
 
-    def conjugate(self) -> "SectorSample":
-        return SectorSample(np.conj(complex(self.lam)), self.theta)
-
     @property
     def dtype(self):
         """The arithmetic of the solves at lam: real on the positive real

@@ -189,6 +189,26 @@ def test_sweep_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize("dual", [False, True])
+def test_threaded_multi_ray_sweep_byte_identical(tmp_path, dual):
+    cfg = write_cfg(
+        tmp_path,
+        bc="neumann",
+        level=3,
+        dual=dual,
+        **{"lambda": {"log10_min": -0.5, "log10_max": 1.5, "count": 5,
+                      "rays": [0.0, 0.5, -0.5]}},
+    )
+    outs = [tmp_path / "t1", tmp_path / "t3"]
+    for out, threads in zip(outs, ("1", "3")):
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 6
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dual", [False, True])
 def test_sweep_unconverged_eigensolve_is_numerical_failure(
     tmp_path, unconverged_eigsh, dual
 ):

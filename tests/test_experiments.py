@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from srlab import experiments, helmholtz
 from srlab.experiments import (
     CSV_COLUMNS,
     EquivalenceReport,
@@ -23,8 +24,9 @@ from srlab.experiments import (
 )
 from srlab.fem import BoundaryCondition, VolumeF, build_space, build_system
 from srlab.geometry import CubePatch, triangulate, unit_square
-from srlab.norms import fit_decay_exponent
-from srlab.solver import NumericalError, SectorSample
+from srlab.helmholtz import solenoidal_basis
+from srlab.norms import OperatorSpec, fit_decay_exponent, operator_norm
+from srlab.solver import NumericalError, ResolventOperator, SectorSample
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,52 @@ def test_sweep_pressure_decay_values_decrease(sys3):
     record, _ = sweep_pressure_decay(sys3, bc, lam_grid=grid, outputs=("phi",))
     vals = [v for _, v in record.series("C_pressure")]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize(
+    "bc_tag, arg_lambda", [("neumann", 0.0), ("dirichlet", 1.0)], ids=["real", "complex"]
+)
+def test_default_sweep_matches_dense_oracle_without_dense_basis(
+    sys3, monkeypatch, bc_tag, arg_lambda
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an L2 sweep built the dense basis")
+
+    bc = BoundaryCondition(bc_tag, 0.0)
+    grid = default_lambda_grid(-0.5, 1.5, 5)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "solenoidal_basis", refuse)
+        m.setattr(helmholtz, "solenoidal_basis", refuse)
+        record, _ = sweep_pressure_decay(sys3, bc, lam_grid=grid, arg_lambda=arg_lambda)
+    basis = solenoidal_basis(sys3, "L2_sigma" if bc.is_dirichlet else "calL2_sigma")
+    for s in record.samples:
+        lam = SectorSample(s["abs_lambda"] * np.exp(1j * arg_lambda), np.pi / 2)
+        op = ResolventOperator(sys3, bc, lam)
+        for out, col in (
+            ("phi", "C_pressure"),
+            ("lam_u", "C_velocity"),
+            ("sqrt_lam_grad_u", "C_gradient"),
+        ):
+            spec = OperatorSpec(out, bc, lam)
+            dense = operator_norm(spec, basis, sys3, method="dense_eig", operator=op)
+            assert s[col] == pytest.approx(dense.value, rel=1e-8), (out, s["abs_lambda"])
+
+
+def test_equivalence_factors_only_resolved_lambda(monkeypatch):
+    # level 2 resolves |lambda| <= 1/h^2 = 8: the last two grid values lie beyond
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    grid = default_lambda_grid(-1.5, 1.5, 7)
+    factored = []
+    init = ResolventOperator.__init__
+
+    def counted_init(self, system, bc, lam):
+        factored.append(abs(complex(lam.lam)))
+        init(self, system, bc, lam)
+
+    monkeypatch.setattr(ResolventOperator, "__init__", counted_init)
+    report = check_lemma_equivalence(system, lam_grid=grid)
+    assert factored == pytest.approx(list(grid[:5]), rel=1e-12)
+    assert report.fit_pressure.n_samples == report.fit_velocity.n_samples == 5
 
 
 def test_sweep_pressure_dual_dirichlet(sys3):

@@ -117,13 +117,6 @@ def test_dual_norm(sys2, space2):
         dual_h_minus1_norm(sys2, load, "bogus")
 
 
-def test_operator_norm_identity(sys2):
-    basis = solenoidal_basis(sys2, "calL2_sigma")
-    spec = OperatorSpec("identity", BoundaryCondition("neumann"), SectorSample(1.0))
-    res = operator_norm(spec, basis, sys2)
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-
-
 @pytest.mark.parametrize("output", ["lam_u", "sqrt_lam_grad_u", "sqrt_lam_phi"])
 def test_power_vs_dense(sys2, output):
     basis = solenoidal_basis(sys2, "L2_sigma")
@@ -228,8 +221,15 @@ def test_operator_norm_rejects_basis_in_other_norm(sys2):
     basis = solenoidal_basis(sys2, "L2_sigma")
     dual = dual_basis(sys2, basis, "H1_zero_dual")
     assert dual.norm == "H1_zero_dual" and dual.dim == basis.dim
+    proj = ImplicitSolenoidalProjector(sys2, "L2_sigma")
+    assert proj.norm == "L2"
     bc, lam = BoundaryCondition("dirichlet"), SectorSample(2.0)
-    for norm, wrong in (("H1_zero_dual", basis), ("L2", dual), ("H1_full_dual", dual)):
+    for norm, wrong in (
+        ("H1_zero_dual", basis),
+        ("L2", dual),
+        ("H1_full_dual", dual),
+        ("H1_zero_dual", proj),
+    ):
         spec = OperatorSpec("phi", bc, lam, input_norm=norm)
         with pytest.raises(ValueError, match="input norm"):
             operator_norm(spec, wrong, sys2)
