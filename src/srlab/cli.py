@@ -27,6 +27,7 @@ from .experiments import (
     check_h2_estimate,
     check_lemma_equivalence,
     check_localized,
+    input_space,
     sweep_pressure_decay,
     sweep_pressure_dual,
     write_fit_json,
@@ -324,6 +325,8 @@ def cmd_sweep(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
             f"{space.n_vel} exceeds its limit {DENSE_BASIS_LIMIT}"
         )
     system = build_system(space, mu=cfg.mu)
+    # the input space does not depend on the ray: every ray shares it
+    basis = input_space(system, cfg.bc, dual)
     runner = sweep_pressure_dual if dual else sweep_pressure_decay
 
     def one_ray(ray):
@@ -333,6 +336,7 @@ def cmd_sweep(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
             lam_grid=cfg.lambda_grid(),
             arg_lambda=ray,
             theta=cfg.theta,
+            basis=basis,
             seed=cfg.seed,
         )
 

@@ -4,9 +4,10 @@ identity checks, H2-type ratio tables, and localized estimates.
 Each sweep point is an independent factorize+measure; records are
 assembled sorted by |lambda| and written to CSV/JSON with a leading
 comment line so identical configs reproduce byte-identical artifacts.
-One lambda loop, sweep_pressure_decay, serves every operator-norm sweep:
-L2 sweeps run on the implicit projector, and the dual-norm sweeps hand it
-the explicit basis orthonormalized in their dual input norm.
+One lambda loop, sweep_pressure_decay, serves every operator-norm sweep,
+and input_space picks its inputs: the implicit projector for L2 sweeps,
+the explicit basis orthonormalized in the dual input norm for the
+dual-norm sweeps.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ __all__ = [
     "LocalizedReport",
     "EquivalenceReport",
     "default_lambda_grid",
+    "input_space",
     "sweep_pressure_decay",
     "sweep_pressure_dual",
     "check_uniform_resolvent",
@@ -87,9 +89,6 @@ class SweepRecord:
     Each sample is a dict with at least abs_lambda and resolved; measured
     functionals use the CSV column names (missing ones stay absent)."""
 
-    domain_id: str
-    bc_tag: str
-    mu: float
     arg_lambda: float
     h: float
     samples: list = field(default_factory=list)
@@ -181,13 +180,21 @@ def default_lambda_grid(log10_min=0.0, log10_max=4.0, count=17):
     return np.logspace(log10_min, log10_max, count)
 
 
-def _flavor(bc: BoundaryCondition) -> str:
-    """The solenoidal input space of a boundary condition."""
-    return "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
+def input_space(system: AssembledSystem, bc: BoundaryCondition, dual: bool = False):
+    """The solenoidal inputs of an operator-norm sweep under bc, with their
+    input norm.
 
-
-def _domain_id(system: AssembledSystem) -> str:
-    return f"poly{len(system.space.mesh.polygon.vertices)}"
+    Neumann conditions measure over the divergence-free fields, Dirichlet
+    over the trace-constrained ones. The L2 norm runs on the implicit
+    projector; with `dual`, the dense basis is orthonormalized once in the
+    dual norm of the load's test space."""
+    flavor = "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
+    if not dual:
+        return ImplicitSolenoidalProjector(system, flavor)
+    # no-slip loads act on zero-trace test fields, natural-condition loads
+    # on the full H1 space; the dual norm follows the test space
+    norm = "H1_zero_dual" if bc.is_dirichlet else "H1_full_dual"
+    return dual_basis(system, solenoidal_basis(system, flavor), norm)
 
 
 def _converged(res, spec: OperatorSpec) -> float:
@@ -215,19 +222,16 @@ def sweep_pressure_decay(
     basis=None,
     outputs=("phi", "lam_u", "sqrt_lam_grad_u"),
     seed: int = 0,
-    domain_id: str | None = None,
 ):
     """Operator-norm sweep over a solenoidal input space; fits the decay
     exponent of C_pressure(lambda) on the resolved window.
 
-    Neumann conditions measure over the divergence-free fields, Dirichlet
-    over the trace-constrained ones; the input norm is basis.norm, and
-    without a basis the L2 norm on the implicit projector. Returns
-    (SweepRecord, DecayFit)."""
+    The input norm is basis.norm; without a basis, input_space(system, bc),
+    the L2 norm on the implicit projector. Returns (SweepRecord, DecayFit)."""
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     if basis is None:
-        basis = ImplicitSolenoidalProjector(system, _flavor(bc))
+        basis = input_space(system, bc)
     h = system.space.mesh.h
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
@@ -240,14 +244,7 @@ def sweep_pressure_decay(
             row[_OUTPUT_COLUMNS[out]] = _converged(res, spec)
         del op  # free this factor before the next one is built
         samples.append(row)
-    record = SweepRecord(
-        domain_id=domain_id if domain_id is not None else _domain_id(system),
-        bc_tag=bc.tag,
-        mu=system.mu,
-        arg_lambda=arg_lambda,
-        h=h,
-        samples=samples,
-    )
+    record = SweepRecord(arg_lambda=arg_lambda, h=h, samples=samples)
     fit = fit_decay_exponent(record.series("C_pressure"), h=h)
     return record, fit
 
@@ -260,20 +257,15 @@ def sweep_pressure_dual(
     theta: float = np.pi / 2,
     basis=None,
     seed: int = 0,
-    domain_id: str | None = None,
 ):
-    """Sweep of sup ||phi|| / ||F||_{H^-1} over the solenoidal basis.
+    """Sweep of sup ||phi|| / ||F||_{H^-1} over the solenoidal inputs.
 
-    The fitted alpha_hat is the decay exponent of the values; the growth
-    exponent of interest is its negative. Requires an explicit basis
-    (it is orthonormalized once in the dense dual input Gram)."""
+    `basis` is an explicit basis already orthonormal in the dual input
+    norm, by default input_space(system, bc, dual=True). The fitted
+    alpha_hat is the decay exponent of the values; the growth exponent of
+    interest is its negative."""
     if basis is None:
-        basis = solenoidal_basis(system, _flavor(bc))
-    # no-slip loads act on zero-trace test fields, natural-condition loads
-    # on the full H1 space; the dual norm follows the test space
-    dual = "H1_zero_dual" if bc.is_dirichlet else "H1_full_dual"
-    # rebound, so that a default L2 basis is freed before the sweep
-    basis = dual_basis(system, basis, dual)
+        basis = input_space(system, bc, dual=True)
     return sweep_pressure_decay(
         system,
         bc,
@@ -283,7 +275,6 @@ def sweep_pressure_dual(
         basis=basis,
         outputs=("phi",),
         seed=seed,
-        domain_id=domain_id,
     )
 
 
@@ -327,7 +318,6 @@ def check_uniform_resolvent(
     F=None,
     arg_lambda: float = 0.0,
     theta: float = np.pi / 2,
-    domain_id: str | None = None,
 ) -> SweepRecord:
     """Per-lambda solution-norm ratios for one fixed representative load.
 
@@ -343,14 +333,7 @@ def check_uniform_resolvent(
     f_norms = {p: _callable_lp(space, f.f, p) for p in p_list}
     F_norms = {p: _callable_lp(space, F.F, p, tensor=True) for p in p_list}
     h = space.mesh.h
-    record = SweepRecord(
-        domain_id=domain_id if domain_id is not None else _domain_id(system),
-        bc_tag=bc.tag,
-        mu=system.mu,
-        arg_lambda=arg_lambda,
-        h=h,
-        samples=[],
-    )
+    record = SweepRecord(arg_lambda=arg_lambda, h=h, samples=[])
     if max(F_norms.values()) == 0.0 or max(f_norms.values()) == 0.0:
         return record
     load_f = load_vector(space, f, bc)
@@ -612,7 +595,7 @@ def check_lemma_equivalence(
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     bc = BoundaryCondition("dirichlet")
-    basis = dual_basis(system, solenoidal_basis(system, "L2_sigma"), "H1_zero_dual")
+    basis = input_space(system, bc, dual=True)
     h = system.space.mesh.h
     # unresolved lambda would only be dropped by the fits: never factor them
     resolved = [a for a in np.asarray(lam_grid) if in_resolved_window(a, h)]

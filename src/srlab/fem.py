@@ -389,9 +389,6 @@ class VolumeF:
 
     f: object
 
-    def label(self) -> str:
-        return "volume"
-
 
 @dataclass(frozen=True)
 class DivergenceF:
@@ -400,18 +397,12 @@ class DivergenceF:
 
     F: object
 
-    def label(self) -> str:
-        return "divergence_form"
-
 
 @dataclass(frozen=True)
 class BoundaryG:
     """Natural boundary data g; callable (points (n,2), face_id) -> (n,2)."""
 
     g: object
-
-    def label(self) -> str:
-        return "boundary"
 
 
 def load_vector(space: TaylorHoodSpace, rhs, bc: BoundaryCondition | None = None):
@@ -462,11 +453,10 @@ class AssembledSystem:
     M_v: sp.csr_matrix
     M_q: sp.csr_matrix
     A0: sp.csr_matrix
-    D: sp.csr_matrix
     B: sp.csr_matrix
     K1: sp.csr_matrix
     K10: sp.csr_matrix
-    A_mu: sp.csr_matrix  # A0 + mu D, the natural-condition stiffness
+    A_mu: sp.csr_matrix  # A0 + mu * cross term, the natural-condition stiffness
     C: sp.csr_matrix = field(repr=False, default=None)
 
 
@@ -481,7 +471,6 @@ def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
         M_v=assemble_gram(space, "velocity_mass"),
         M_q=assemble_gram(space, "pressure_mass"),
         A0=A0,
-        D=D,
         B=assemble_divergence(space),
         K1=assemble_gram(space, "H1_full"),
         K10=assemble_gram(space, "H1_zero"),

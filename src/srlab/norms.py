@@ -1,13 +1,17 @@
 """Norms, dual norms, and operator norms of resolvent solution maps.
 
-Operator norms are largest singular values of the map c -> output field,
-over a basis orthonormal in the input norm (so c carries the Euclidean
-norm) and with the output in one of five weighted norms. They are
-computed either by dense eigendecomposition of the normal operator
-(oracle, small bases) or by power iteration that reuses one LU
-factorization per resolvent parameter, with the adjoint applied through
-conjugation. Everything runs in the arithmetic of lam (SectorSample.dtype):
-real on the positive real axis, complex elsewhere.
+Operator norms are largest singular values of the map from a solenoidal
+input to an output field, with the input in the norm its basis carries
+and the output in one of six weighted norms. Both input kinds, an
+explicit basis (orthonormal in its input norm, so its coefficients carry
+the Euclidean norm) and the implicit projector (the full velocity space
+in the M_v inner product), give one normal-operator pencil: forward
+solve, output weight, adjoint solve through conjugation, reusing one LU
+factorization per resolvent parameter. operator_norm finds its top
+eigenvalue by Lanczos (ARPACK); dense_operator_norm, the oracle,
+assembles the same pencil densely. Everything runs in the arithmetic of
+lam (SectorSample.dtype): real on the positive real axis, complex
+elsewhere.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ __all__ = [
     "dual_h_minus1_norm",
     "dual_basis",
     "operator_norm",
+    "dense_operator_norm",
     "fit_decay_exponent",
 ]
 
@@ -149,10 +154,8 @@ class OperatorSpec:
 @dataclass
 class OperatorNormResult:
     value: float
-    method: str
     iterations: int = 0
     converged: bool = True
-    gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -192,21 +195,6 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
     raise ValueError(spec.output)
 
 
-def _make_apply_H(spec, basis, system, op):
-    """Normal-operator application in basis coefficients, H = T* W T."""
-    MZ = system.M_v @ basis.Z  # real (n_vel, dim)
-    Wu, Wp = _output_weights(spec, system)
-
-    def apply_H(c):
-        u, phi = op.solve(MZ @ c)
-        gu = Wu(u) if Wu is not None else np.zeros(system.space.n_vel)
-        gp = Wp(phi) if Wp is not None else None
-        w, _ = op.solve_adjoint(gu, gp)
-        return MZ.T @ w
-
-    return apply_H
-
-
 def _input_gram(system, Z, flavor):
     """Gram of the columns of Z in the dual norm of the flavor."""
     MZ = np.asarray(system.M_v @ Z)
@@ -222,6 +210,63 @@ def dual_basis(system: AssembledSystem, basis: SolenoidalBasis, flavor: str):
     return SolenoidalBasis(Z=Z, flavor=basis.flavor, norm=flavor)
 
 
+def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operator=None):
+    """The normal operator H = T* W T of the input-to-output map T as the
+    pencil (matvec, dim, M, Minv) whose top eigenvalue is the squared
+    operator norm.
+
+    An explicit basis works in its coefficients, which carry the
+    Euclidean norm, so M is None. The implicit projector works in the
+    full velocity space in the M_v inner product: matvec returns M_v P y
+    and M = M_v, with its cached factor as Minv. `operator` reuses a
+    factorization of the same (bc, lam).
+    """
+    if spec.input_norm != basis.norm:
+        raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
+    implicit = isinstance(basis, ImplicitSolenoidalProjector)
+    if not implicit and basis.dim == 0:
+        raise NumericalError("empty basis")
+    op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
+    Wu, Wp = _output_weights(spec, system)
+    n_vel = system.space.n_vel
+
+    def adjoint_of_weighted(load):
+        u, phi = op.solve(load)
+        gu = Wu(u) if Wu is not None else np.zeros(n_vel)
+        gp = Wp(phi) if Wp is not None else None
+        y, _ = op.solve_adjoint(gu, gp)
+        return y
+
+    if not implicit:
+        MZ = system.M_v @ basis.Z  # real (n_vel, dim)
+        return (lambda c: MZ.T @ adjoint_of_weighted(MZ @ c)), basis.dim, None, None
+    # where y already lies in the range of P, the full-space normal
+    # operator H is M-symmetric with H = P H, hence H = P H P: it has the
+    # top eigenvalue of the operator on range(P), and P y = y needs no solve
+    lands_in_range = Wp is None and (spec.bc.tag, basis.flavor) in _ADJOINT_IN_RANGE
+
+    def matvec(f):
+        y = adjoint_of_weighted(system.M_v @ f)
+        if not lands_in_range:
+            y = basis.project(y)
+        return system.M_v @ y
+
+    # ARPACK mode 2 would factor M_v on every call; hand it the cached one
+    Minv = spla.LinearOperator(
+        system.M_v.shape, matvec=_gram_solver(system, "L2"), dtype=spec.lam.dtype
+    )
+    return matvec, n_vel, system.M_v, Minv
+
+
+def _dense_top_eigenvalue(matvec, dim, dtype, M=None):
+    """Largest real part of an eigenvalue of the pencil (matvec, M),
+    assembled densely column by column."""
+    H = np.column_stack([matvec(e.astype(dtype)) for e in np.eye(dim)])
+    if M is not None:
+        H = np.linalg.solve(M.toarray(), H)
+    return float(np.max(np.real(np.linalg.eigvals(H))))
+
+
 def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
     """Largest eigenvalue of a Hermitian PSD operator of the given dtype by
     Ritz-accelerated power iteration (Lanczos) with a fixed seed start
@@ -230,7 +275,7 @@ def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
     Plain power steps stall when the top of the spectrum is clustered;
     Rayleigh-Ritz extraction over the iterated subspace restores the
     1e-8 agreement with dense eigensolves. Returns (value, applications,
-    converged, gap estimate).
+    converged).
     """
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
@@ -243,9 +288,7 @@ def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
         return matvec(c)
 
     if dim <= 2:
-        H = np.column_stack([counted(e.astype(dtype)) for e in np.eye(dim)])
-        nu = float(np.max(np.real(np.linalg.eigvals(H))))
-        return nu, count[0], True, 0.0
+        return _dense_top_eigenvalue(counted, dim, dtype, M), count[0], True
     op = spla.LinearOperator((dim, dim), matvec=counted, dtype=dtype)
     try:
         vals = spla.eigsh(
@@ -259,91 +302,44 @@ def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
             maxiter=POWER_MAXIT,
             return_eigenvectors=False,
         )
-        return float(np.real(vals[0])), count[0], True, 0.0
+        return float(np.real(vals[0])), count[0], True
     except spla.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues):
-            return float(np.real(exc.eigenvalues[0])), count[0], False, np.nan
-        return 0.0, count[0], False, np.inf
+        value = float(np.real(exc.eigenvalues[0])) if len(exc.eigenvalues) else 0.0
+        return value, count[0], False
 
 
 def operator_norm(
     spec: OperatorSpec,
     basis,
     system: AssembledSystem,
-    method: str = "power_iteration",
     seed: int = 0,
     operator: ResolventOperator | None = None,
 ) -> OperatorNormResult:
     """Largest singular value of the input-to-output map over the basis.
 
     `basis` is either an explicit SolenoidalBasis or an
-    ImplicitSolenoidalProjector (power iteration only); either way its
-    `norm` must be spec.input_norm. `operator` allows reusing a
-    factorization across calls with the same (bc, lam).
+    ImplicitSolenoidalProjector; either way its `norm` must be
+    spec.input_norm. `operator` allows reusing a factorization across
+    calls with the same (bc, lam).
     """
-    if spec.input_norm != basis.norm:
-        raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
-    if isinstance(basis, ImplicitSolenoidalProjector):
-        return _operator_norm_implicit(spec, basis, system, seed, operator)
-    if basis.dim == 0:
-        raise NumericalError("empty basis")
-    op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
-    apply_H = _make_apply_H(spec, basis, system, op)
-    if method == "dense_eig":
-        Hm = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
-        vals = np.linalg.eigvals(Hm)
-        nu = float(np.max(np.real(vals)))
-        return OperatorNormResult(value=float(np.sqrt(max(nu, 0.0))), method=method)
-    if method != "power_iteration":
-        raise ValueError(f"unknown method {method!r}")
-    nu, iters, ok, gap = _power_iteration(apply_H, basis.dim, seed, spec.lam.dtype)
+    matvec, dim, M, Minv = _normal_operator(spec, basis, system, operator)
+    nu, iters, ok = _power_iteration(matvec, dim, seed, spec.lam.dtype, M, Minv)
     return OperatorNormResult(
-        value=float(np.sqrt(max(nu, 0.0))),
-        method=method,
-        iterations=iters,
-        converged=ok,
-        gap=gap,
+        value=float(np.sqrt(max(nu, 0.0))), iterations=iters, converged=ok
     )
 
 
-def _operator_norm_implicit(
-    spec, proj: ImplicitSolenoidalProjector, system, seed, operator=None
-):
-    """Power iteration in the full velocity space with implicit projection."""
-    space = system.space
-    op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
-    Wu, Wp = _output_weights(spec, system)
-    # where y already lies in the range of P, the full-space normal
-    # operator H is M-symmetric with H = P H, hence H = P H P: it has the
-    # top eigenvalue of the operator on range(P), and P y = y needs no solve
-    lands_in_range = Wp is None and (spec.bc.tag, proj.flavor) in _ADJOINT_IN_RANGE
-
-    def matvec(f):
-        u, phi = op.solve(system.M_v @ f)
-        gu = Wu(u) if Wu is not None else np.zeros(space.n_vel)
-        gp = Wp(phi) if Wp is not None else None
-        y, _ = op.solve_adjoint(gu, gp)
-        if not lands_in_range:
-            y = proj.project(y)
-        # the normal operator in the M inner product is f -> proj(y);
-        # hand the pencil (M proj(y), M) to the eigensolver
-        return system.M_v @ y
-
-    # ARPACK mode 2 would factor M_v on every call; hand it the cached one
-    dtype = spec.lam.dtype
-    Minv = spla.LinearOperator(
-        system.M_v.shape, matvec=_gram_solver(system, "L2"), dtype=dtype
-    )
-    nu, iters, ok, gap = _power_iteration(
-        matvec, space.n_vel, seed, dtype, M=system.M_v, Minv=Minv
-    )
-    return OperatorNormResult(
-        value=float(np.sqrt(max(nu, 0.0))),
-        method="power_iteration",
-        iterations=iters,
-        converged=ok,
-        gap=gap,
-    )
+def dense_operator_norm(
+    spec: OperatorSpec,
+    basis,
+    system: AssembledSystem,
+    operator: ResolventOperator | None = None,
+) -> float:
+    """operator_norm's oracle: the same pencil assembled densely and
+    solved by a dense eigendecomposition (small bases and meshes only)."""
+    matvec, dim, M, _ = _normal_operator(spec, basis, system, operator)
+    nu = _dense_top_eigenvalue(matvec, dim, spec.lam.dtype, M)
+    return float(np.sqrt(max(nu, 0.0)))
 
 
 def fit_decay_exponent(samples, h: float | None = None) -> DecayFit:

@@ -95,7 +95,6 @@ class ResolventSolution:
     phi: np.ndarray
     lam: SectorSample
     bc: BoundaryCondition
-    rhs_label: str
     residual_momentum: float
     residual_divergence: float
     warnings: list = field(default_factory=list)
@@ -197,15 +196,13 @@ def _assemble_load(system, bc, rhs):
     """The velocity load of rhs, in the data's own arithmetic."""
     parts = rhs if isinstance(rhs, (list, tuple)) else [rhs]
     if isinstance(rhs, np.ndarray):
-        return rhs.astype(np.result_type(float, rhs), copy=False), "vector"
+        return rhs.astype(np.result_type(float, rhs), copy=False)
     load = np.zeros(system.space.n_vel)
-    labels = []
     for part in parts:
         if bc.is_dirichlet and isinstance(part, BoundaryG):
             raise ValueError("boundary data cannot be combined with a Dirichlet condition")
         load = load + load_vector(system.space, part, bc)
-        labels.append(part.label())
-    return load, "+".join(labels)
+    return load
 
 
 def solve_resolvent(
@@ -217,7 +214,7 @@ def solve_resolvent(
 ) -> ResolventSolution:
     """Solve the resolvent problem for one lam and one right-hand side."""
     op = operator if operator is not None else ResolventOperator(system, bc, lam)
-    Fv, label = _assemble_load(system, bc, rhs)
+    Fv = _assemble_load(system, bc, rhs)
     u, phi = op.solve(Fv)
     res_mom, res_div = op.residuals(u, phi, Fv)
     sol = ResolventSolution(
@@ -225,7 +222,6 @@ def solve_resolvent(
         phi=phi,
         lam=lam,
         bc=bc,
-        rhs_label=label,
         residual_momentum=res_mom,
         residual_divergence=res_div,
         warnings=list(op.warnings),
@@ -242,5 +238,5 @@ def solve_resolvent(
 def residual_report(solution: ResolventSolution, system: AssembledSystem, rhs):
     """Recompute block residuals of a solution against a right-hand side."""
     op = ResolventOperator(system, solution.bc, solution.lam)
-    Fv, _ = _assemble_load(system, solution.bc, rhs)
+    Fv = _assemble_load(system, solution.bc, rhs)
     return op.residuals(solution.u, solution.phi, Fv)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srlab import __version__, cli
+from srlab import __version__, cli, experiments, helmholtz
 from srlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -206,6 +206,34 @@ def test_threaded_multi_ray_sweep_byte_identical(tmp_path, dual):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_multi_ray_sweep_builds_its_input_space_once(tmp_path, monkeypatch, dual):
+    built = {"projector": 0, "basis": 0}
+    init = helmholtz.ImplicitSolenoidalProjector.__init__
+    basis = experiments.solenoidal_basis
+
+    def counted_init(self, *args):
+        built["projector"] += 1
+        init(self, *args)
+
+    def counted_basis(*args):
+        built["basis"] += 1
+        return basis(*args)
+
+    monkeypatch.setattr(helmholtz.ImplicitSolenoidalProjector, "__init__", counted_init)
+    monkeypatch.setattr(experiments, "solenoidal_basis", counted_basis)
+    cfg = write_cfg(
+        tmp_path,
+        dual=dual,
+        **{"lambda": {"log10_min": -1.1, "log10_max": 0.9, "count": 5,
+                      "rays": [0.0, -0.7]}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert len(list(out.glob("t_ray*.csv"))) == 2
+    assert built == {"projector": int(not dual), "basis": int(dual)}
 
 
 @pytest.mark.parametrize("dual", [False, True])

@@ -25,7 +25,7 @@ from srlab.experiments import (
 from srlab.fem import BoundaryCondition, VolumeF, build_space, build_system
 from srlab.geometry import CubePatch, triangulate, unit_square
 from srlab.helmholtz import solenoidal_basis
-from srlab.norms import OperatorSpec, fit_decay_exponent, operator_norm
+from srlab.norms import OperatorSpec, dense_operator_norm, fit_decay_exponent
 from srlab.solver import NumericalError, ResolventOperator, SectorSample
 
 
@@ -41,9 +41,6 @@ def sys3(space3):
 
 def test_sweep_record_sorted_and_filtered():
     rec = SweepRecord(
-        domain_id="poly4",
-        bc_tag="neumann",
-        mu=0.0,
         arg_lambda=0.0,
         h=0.1,
         samples=[
@@ -60,9 +57,6 @@ def test_sweep_record_sorted_and_filtered():
 def test_sweep_record_rejects_negative_values():
     with pytest.raises(ValueError):
         SweepRecord(
-            domain_id="poly4",
-            bc_tag="neumann",
-            mu=0.0,
             arg_lambda=0.0,
             h=0.1,
             samples=[{"abs_lambda": 1.0, "resolved": True, "C_pressure": -0.5}],
@@ -96,8 +90,6 @@ def test_sweep_pressure_decay_neumann(sys3):
     bc = BoundaryCondition("neumann", 0.0)
     grid = default_lambda_grid(-1.0, 1.0, 5)
     record, fit = sweep_pressure_decay(sys3, bc, lam_grid=grid, outputs=("phi",))
-    assert record.domain_id == "poly4"
-    assert record.bc_tag == "neumann"
     assert [s["abs_lambda"] for s in record.samples] == sorted(grid)
     assert all(s["C_pressure"] > 0 for s in record.samples)
     assert all(s["resolved"] for s in record.samples)
@@ -139,8 +131,8 @@ def test_default_sweep_matches_dense_oracle_without_dense_basis(
             ("sqrt_lam_grad_u", "C_gradient"),
         ):
             spec = OperatorSpec(out, bc, lam)
-            dense = operator_norm(spec, basis, sys3, method="dense_eig", operator=op)
-            assert s[col] == pytest.approx(dense.value, rel=1e-8), (out, s["abs_lambda"])
+            dense = dense_operator_norm(spec, basis, sys3, operator=op)
+            assert s[col] == pytest.approx(dense, rel=1e-8), (out, s["abs_lambda"])
 
 
 def test_equivalence_factors_only_resolved_lambda(monkeypatch):
@@ -277,9 +269,6 @@ def test_equivalence_degenerate_grid(sys3):
 
 def test_write_sweep_csv(tmp_path):
     rec = SweepRecord(
-        domain_id="poly4",
-        bc_tag="neumann",
-        mu=0.0,
         arg_lambda=0.0,
         h=0.25,
         samples=[{"abs_lambda": 1.0, "resolved": True, "C_pressure": 0.5}],

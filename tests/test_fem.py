@@ -287,8 +287,9 @@ def test_boundary_condition_validation():
 
 def test_build_system(fine_space):
     sys = build_system(fine_space, mu=0.3)
-    assert (sys.A_mu - (sys.A0 + 0.3 * sys.D)).nnz == 0 or np.max(
-        np.abs((sys.A_mu - (sys.A0 + 0.3 * sys.D)).data)
+    D = assemble_cross_term(fine_space)
+    assert (sys.A_mu - (sys.A0 + 0.3 * D)).nnz == 0 or np.max(
+        np.abs((sys.A_mu - (sys.A0 + 0.3 * D)).data)
     ) < 1e-14
     for M in (sys.M_v, sys.M_q):
         d = (M - M.T).tocoo()

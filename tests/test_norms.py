@@ -18,6 +18,7 @@ from srlab.norms import (
     OperatorSpec,
     _input_gram,
     broken_h2_seminorm,
+    dense_operator_norm,
     dual_basis,
     dual_h_minus1_norm,
     fit_decay_exponent,
@@ -121,10 +122,10 @@ def test_dual_norm(sys2, space2):
 def test_power_vs_dense(sys2, output):
     basis = solenoidal_basis(sys2, "L2_sigma")
     spec = OperatorSpec(output, BoundaryCondition("dirichlet"), SectorSample(3.0))
-    dense = operator_norm(spec, basis, sys2, method="dense_eig")
-    power = operator_norm(spec, basis, sys2, method="power_iteration")
+    dense = dense_operator_norm(spec, basis, sys2)
+    power = operator_norm(spec, basis, sys2)
     assert power.converged
-    assert power.value == pytest.approx(dense.value, rel=1e-6)
+    assert power.value == pytest.approx(dense, rel=1e-6)
 
 
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
@@ -137,12 +138,12 @@ def test_normal_operator_is_hermitian(sys2, bc_kind):
     op = ResolventOperator(sys2, bc, lam)
     for output in norms.OUTPUTS:
         spec = OperatorSpec(output, bc, lam)
-        apply_H = norms._make_apply_H(spec, basis, sys2, op)
+        apply_H = norms._normal_operator(spec, basis, sys2, op)[0]
         H = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
         assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max(), output
-        dense = operator_norm(spec, basis, sys2, method="dense_eig")
+        dense = dense_operator_norm(spec, basis, sys2)
         power = operator_norm(spec, basis, sys2, operator=op)
-        assert power.value == pytest.approx(dense.value, rel=1e-10), output
+        assert power.value == pytest.approx(dense, rel=1e-10), output
 
 
 def test_operator_norm_basis_rotation_invariance(sys2):
@@ -151,9 +152,9 @@ def test_operator_norm_basis_rotation_invariance(sys2):
     Q, _ = np.linalg.qr(rng.standard_normal((basis.dim, basis.dim)))
     rotated = SolenoidalBasis(Z=basis.Z @ Q, flavor=basis.flavor)
     spec = OperatorSpec("phi", BoundaryCondition("dirichlet"), SectorSample(2.0))
-    a = operator_norm(spec, basis, sys2, method="dense_eig")
-    b = operator_norm(spec, rotated, sys2, method="dense_eig")
-    assert a.value == pytest.approx(b.value, rel=1e-8)
+    a = dense_operator_norm(spec, basis, sys2)
+    b = dense_operator_norm(spec, rotated, sys2)
+    assert a == pytest.approx(b, rel=1e-8)
 
 
 # every (bc, flavor) pair; (neumann, L2_sigma) is the one whose adjoint
@@ -175,10 +176,12 @@ def test_operator_norm_implicit_matches_explicit(sys2, output, bc_kind, flavor, 
     basis = solenoidal_basis(sys2, flavor)
     proj = ImplicitSolenoidalProjector(sys2, flavor)
     spec = OperatorSpec(output, BoundaryCondition(bc_kind), SectorSample(lam))
-    explicit = operator_norm(spec, basis, sys2, method="dense_eig")
+    explicit = dense_operator_norm(spec, basis, sys2)
     implicit = operator_norm(spec, proj, sys2)
     assert implicit.converged
-    assert implicit.value == pytest.approx(explicit.value, rel=1e-8)
+    assert implicit.value == pytest.approx(explicit, rel=1e-8)
+    # the oracle assembles the projector's pencil (M_v P, M_v) as well
+    assert dense_operator_norm(spec, proj, sys2) == pytest.approx(explicit, rel=1e-10)
 
 
 @pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
@@ -209,12 +212,14 @@ def test_dual_input_operator_norm_singleton(sys2):
     bc = BoundaryCondition("dirichlet")
     lam = SectorSample(4.0)
     spec = OperatorSpec("phi", bc, lam, input_norm="H1_zero_dual")
-    res = operator_norm(spec, single, sys2, method="dense_eig")
+    res = dense_operator_norm(spec, single, sys2)
     op = ResolventOperator(sys2, bc, lam)
     _, phi = op.solve(sys2.M_v @ z[:, 0])
     num = np.sqrt(np.real(np.vdot(phi, sys2.M_q @ phi)))
     den = dual_h_minus1_norm(sys2, np.asarray(sys2.M_v @ z[:, 0]), "H1_zero_dual")
-    assert res.value == pytest.approx(num / den, rel=1e-8)
+    assert res == pytest.approx(num / den, rel=1e-8)
+    # a one-column basis takes the eigensolver's dense branch
+    assert operator_norm(spec, single, sys2).value == pytest.approx(res, rel=1e-12)
 
 
 def test_operator_norm_rejects_basis_in_other_norm(sys2):
