@@ -6,7 +6,7 @@ assembled sorted by |lambda| and written to CSV/JSON with a leading
 comment line so identical configs reproduce byte-identical artifacts.
 One lambda loop, sweep_pressure_decay, serves every operator-norm sweep,
 and input_space picks its inputs: the implicit projector for L2 sweeps,
-the explicit basis orthonormalized in the dual input norm for the
+the explicit basis built orthonormal in the dual input norm for the
 dual-norm sweeps.
 """
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .norms import (
     DecayFit,
     OperatorSpec,
     broken_h2_seminorm,
-    dual_basis,
     fit_decay_exponent,
     lp_norm,
     operator_norm,
@@ -186,15 +185,15 @@ def input_space(system: AssembledSystem, bc: BoundaryCondition, dual: bool = Fal
 
     Neumann conditions measure over the divergence-free fields, Dirichlet
     over the trace-constrained ones. The L2 norm runs on the implicit
-    projector; with `dual`, the dense basis is orthonormalized once in the
-    dual norm of the load's test space."""
+    projector; with `dual`, the dense basis is built orthonormal in the
+    dual norm of the load's test space, with one Cholesky."""
     flavor = "L2_sigma" if bc.is_dirichlet else "calL2_sigma"
     if not dual:
         return ImplicitSolenoidalProjector(system, flavor)
     # no-slip loads act on zero-trace test fields, natural-condition loads
     # on the full H1 space; the dual norm follows the test space
     norm = "H1_zero_dual" if bc.is_dirichlet else "H1_full_dual"
-    return dual_basis(system, solenoidal_basis(system, flavor), norm)
+    return solenoidal_basis(system, flavor, norm)
 
 
 def _converged(res, spec: OperatorSpec) -> float:

@@ -12,8 +12,8 @@ constrain the divergence (and the normal trace); the Helmholtz flavors
 P and Q constrain the gradients of the linear nodal potentials, A = C^T,
 so that x = f + M_v^{-1} C chi with the scalar potential chi = -y. L2
 operator norms use the projector at every mesh size; the explicit basis,
-a dense SVD of the same constraints, serves only the dual input norms
-and the tests' dense oracle.
+a dense SVD of the same constraints orthonormalized once in its input
+norm, serves only the dual input norms and the tests' dense oracle.
 """
 from __future__ import annotations
 
@@ -150,10 +150,11 @@ class HelmholtzProjector(ImplicitSolenoidalProjector):
         return chi
 
 
-def solenoidal_basis(system: AssembledSystem, flavor: str) -> SolenoidalBasis:
-    """Dense M_v-orthonormal basis of the null space of
-    constraint_matrix(system, flavor), for the dual input norms and the
-    dense oracle."""
+def solenoidal_basis(system: AssembledSystem, flavor: str, norm="L2") -> SolenoidalBasis:
+    """Dense basis of the null space of constraint_matrix(system, flavor),
+    orthonormal in the input norm `norm` (one of norms.INPUT_NORMS), for
+    the dual input norms and the dense oracle. The SVD's null-space columns
+    are Euclidean-orthonormal: one Cholesky of their Gram in `norm` does."""
     A = constraint_matrix(system, flavor)
     if system.space.n_vel > DENSE_BASIS_LIMIT:
         raise ValueError(
@@ -167,7 +168,10 @@ def solenoidal_basis(system: AssembledSystem, flavor: str) -> SolenoidalBasis:
     Z = Vt[rank:].T
     if Z.shape[1] == 0:
         raise NumericalError("constraint matrix has full rank; no solenoidal fields")
-    return SolenoidalBasis(Z=orthonormalize(Z, Z.T @ (system.M_v @ Z)), flavor=flavor)
+    from .norms import _input_gram  # norms imports this module
+
+    G = Z.T @ (system.M_v @ Z) if norm == "L2" else _input_gram(system, Z, norm)
+    return SolenoidalBasis(Z=orthonormalize(Z, G), flavor=flavor, norm=norm)
 
 
 def orthonormalize(Z, G):

@@ -3,15 +3,16 @@
 Operator norms are largest singular values of the map from a solenoidal
 input to an output field, with the input in the norm its basis carries
 and the output in one of six weighted norms. Both input kinds, an
-explicit basis (orthonormal in its input norm, so its coefficients carry
-the Euclidean norm) and the implicit projector (the full velocity space
-in the M_v inner product), give one normal-operator pencil: forward
-solve, output weight, adjoint solve through conjugation, reusing one LU
-factorization per resolvent parameter. operator_norm finds its top
-eigenvalue by Lanczos (ARPACK); dense_operator_norm, the oracle,
-assembles the same pencil densely. Everything runs in the arithmetic of
-lam (SectorSample.dtype): real on the positive real axis, complex
-elsewhere.
+explicit basis (built orthonormal in its input norm by
+helmholtz.solenoidal_basis, so its coefficients carry the Euclidean
+norm, with the sparse M_v applied around it) and the implicit projector
+(the full velocity space in the M_v inner product), give one
+normal-operator pencil: forward solve, output weight, adjoint solve
+through conjugation, reusing one LU factorization per resolvent
+parameter. operator_norm finds its top eigenvalue by Lanczos (ARPACK);
+dense_operator_norm, the oracle, assembles the same pencil densely.
+Everything runs in the arithmetic of lam (SectorSample.dtype): real on
+the positive real axis, complex elsewhere.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
-from .helmholtz import ImplicitSolenoidalProjector, SolenoidalBasis, orthonormalize
+from .helmholtz import ImplicitSolenoidalProjector
 from .solver import (
     NumericalError,
     ResolventOperator,
@@ -37,7 +38,6 @@ __all__ = [
     "lp_norm",
     "broken_h2_seminorm",
     "dual_h_minus1_norm",
-    "dual_basis",
     "operator_norm",
     "dense_operator_norm",
     "fit_decay_exponent",
@@ -195,19 +195,13 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
     raise ValueError(spec.output)
 
 
-def _input_gram(system, Z, flavor):
-    """Gram of the columns of Z in the dual norm of the flavor."""
+def _input_gram(system, Z, norm):
+    """Gram of the columns of Z in the dual input norm `norm`."""
     MZ = np.asarray(system.M_v @ Z)
-    if flavor == "H1_zero_dual":
+    if norm == "H1_zero_dual":
         MZ[system.space.boundary_vel_dofs, :] = 0.0
-    G = MZ.T @ _gram_solver(system, flavor)(MZ)
+    G = MZ.T @ _gram_solver(system, norm)(MZ)
     return 0.5 * (G + G.T)
-
-
-def dual_basis(system: AssembledSystem, basis: SolenoidalBasis, flavor: str):
-    """The span of `basis`, orthonormal in the dual norm of the flavor."""
-    Z = orthonormalize(basis.Z, _input_gram(system, basis.Z, flavor))
-    return SolenoidalBasis(Z=Z, flavor=basis.flavor, norm=flavor)
 
 
 def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operator=None):
@@ -238,8 +232,9 @@ def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operato
         return y
 
     if not implicit:
-        MZ = system.M_v @ basis.Z  # real (n_vel, dim)
-        return (lambda c: MZ.T @ adjoint_of_weighted(MZ @ c)), basis.dim, None, None
+        # apply the sparse M_v around Z: a dense M_v Z would be a second copy
+        Z, M = basis.Z, system.M_v
+        return (lambda c: Z.T @ (M @ adjoint_of_weighted(M @ (Z @ c)))), basis.dim, None, None
     # where y already lies in the range of P, the full-space normal
     # operator H is M-symmetric with H = P H, hence H = P H P: it has the
     # top eigenvalue of the operator on range(P), and P y = y needs no solve

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srlab import experiments, helmholtz
+from srlab import experiments, helmholtz, norms
 from srlab.experiments import (
     CSV_COLUMNS,
     EquivalenceReport,
@@ -104,6 +104,24 @@ def test_sweep_pressure_decay_values_decrease(sys3):
     record, _ = sweep_pressure_decay(sys3, bc, lam_grid=grid, outputs=("phi",))
     vals = [v for _, v in record.series("C_pressure")]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("bc_tag", ["neumann", "dirichlet"])
+def test_dual_input_space_orthonormalizes_once(sys3, monkeypatch, bc_tag):
+    calls = []
+    orthonormalize = helmholtz.orthonormalize
+
+    def counted(Z, G):
+        calls.append(G.shape)
+        return orthonormalize(Z, G)
+
+    # every module that binds the function by name
+    for mod in (helmholtz, norms):
+        if hasattr(mod, "orthonormalize"):
+            monkeypatch.setattr(mod, "orthonormalize", counted)
+    basis = experiments.input_space(sys3, BoundaryCondition(bc_tag), dual=True)
+    assert basis.norm == ("H1_zero_dual" if bc_tag == "dirichlet" else "H1_full_dual")
+    assert calls == [(basis.dim, basis.dim)]
 
 
 @pytest.mark.parametrize(
