@@ -30,6 +30,7 @@ from .experiments import (
     input_space,
     sweep_pressure_decay,
     sweep_pressure_dual,
+    write_artifact,
     write_fit_json,
     write_json,
     write_report_csv,
@@ -240,11 +241,7 @@ def _patch(cfg: ExperimentConfig) -> CubePatch:
 def cmd_mesh(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     mesh = build_mesh(cfg)
     path = _out_path(cfg, "mesh.tmesh2d")
-    write_tmesh2d(mesh, path)
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(f"# {_comment(cfg)}\n" + body)
+    write_tmesh2d(mesh, path, _comment(cfg))
     if verbose:
         print(f"wrote {path}: {mesh.n_nodes} nodes, "
               f"{mesh.n_triangles} triangles, h = {mesh.h:.5g}", file=sys.stderr)
@@ -386,14 +383,12 @@ def cmd_check_h2(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     rows = check_h2_estimate(
         system, lam_grid=cfg.lambda_grid(), theta=cfg.theta, seed=cfg.seed
     )
-    lines = [f"# {_comment(cfg)}", "abs_lambda,field,ratio"]
+    lines = ["abs_lambda,field,ratio"]
     for row in rows:
         lines.append(
             f"{row['abs_lambda']!r},{row['field']},{row['ratio']!r}"
         )
-    path = _out_path(cfg, "h2.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(_out_path(cfg, "h2.csv"), lines, _comment(cfg))
     if verbose:
         ratios = [row["ratio"] for row in rows]
         print(

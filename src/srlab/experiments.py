@@ -21,6 +21,7 @@ from .fem import (
     BoundaryCondition,
     DivergenceF,
     VolumeF,
+    build_space,
     load_vector,
 )
 from .geometry import (
@@ -43,7 +44,7 @@ from .norms import (
     lp_norm,
     operator_norm,
 )
-from .quadrature import segment_rule, triangle_rule
+from .quadrature import segment_rule
 from .solver import NumericalError, ResolventOperator, SectorSample, in_resolved_window
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "check_h2_estimate",
     "check_localized",
     "check_lemma_equivalence",
+    "write_artifact",
     "write_sweep_csv",
     "write_report_csv",
     "write_json",
@@ -244,7 +246,7 @@ def sweep_pressure_decay(
         del op  # free this factor before the next one is built
         samples.append(row)
     record = SweepRecord(arg_lambda=arg_lambda, h=h, samples=samples)
-    fit = fit_decay_exponent(record.series("C_pressure"), h=h)
+    fit = fit_decay_exponent(record.series("C_pressure"))
     return record, fit
 
 
@@ -332,9 +334,8 @@ def check_uniform_resolvent(
     f_norms = {p: _callable_lp(space, f.f, p) for p in p_list}
     F_norms = {p: _callable_lp(space, F.F, p, tensor=True) for p in p_list}
     h = space.mesh.h
-    record = SweepRecord(arg_lambda=arg_lambda, h=h, samples=[])
     if max(F_norms.values()) == 0.0 or max(f_norms.values()) == 0.0:
-        return record
+        return SweepRecord(arg_lambda=arg_lambda, h=h)
     load_f = load_vector(space, f, bc)
     load_F = load_vector(space, F, bc)
     samples = []
@@ -365,8 +366,7 @@ def check_uniform_resolvent(
         if 4 in p_list:
             row["Cp_p4"] = row["vel_p4"]
         samples.append(row)
-    record.samples = sorted(samples, key=lambda s: s["abs_lambda"])
-    return record
+    return SweepRecord(arg_lambda=arg_lambda, h=h, samples=samples)
 
 
 def _as_field_pair(v, Jv):
@@ -413,15 +413,7 @@ def check_grisvard(
     a pair of callables (values, Jacobians) or a sequence of two sympy
     expressions in x, y from which the Jacobian is derived."""
     v_call, J_call = _as_field_pair(v, Jv)
-    mesh = triangulate(polygon, target_h)
-    pts, w = triangle_rule(quad_order)
-    corners = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
-    J = np.stack(
-        [corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1
-    )
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    phys = corners[:, None, 0, :] + np.einsum("eab,qb->eqa", J, pts)
-    wts = 0.5 * detJ[:, None] * w[None, :]
+    phys, wts = build_space(triangulate(polygon, target_h)).quad_data(quad_order)[:2]
     flat = phys.reshape(-1, 2)
     Jv_vals = np.asarray(J_call(flat))
     div = Jv_vals[:, 0, 0] + Jv_vals[:, 1, 1]
@@ -624,35 +616,38 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def write_artifact(path, lines, comment: str = ""):
+    """Write text lines after a leading `# comment` line, the header every
+    artifact carries (the CLI passes the version, config hash and seed)."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"# {comment}".rstrip(), *lines]) + "\n")
+
+
 def write_sweep_csv(path, record: SweepRecord, comment: str = ""):
     """Write a sweep as CSV with the fixed column set; missing
     functionals become empty fields. First line is a comment."""
-    lines = [f"# {comment}".rstrip(), ",".join(CSV_COLUMNS)]
+    lines = [",".join(CSV_COLUMNS)]
     for s in record.samples:
         row = dict(s)
         row.setdefault("arg_lambda", record.arg_lambda)
         row.setdefault("h", record.h)
         lines.append(",".join(_fmt(row.get(col)) for col in CSV_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, lines, comment)
 
 
 def write_report_csv(path, reports, comment: str = ""):
     """Write identity or localized reports as id,lhs,rhs,ratio rows."""
-    lines = [f"# {comment}".rstrip(), "id,lhs,rhs,ratio"]
+    lines = ["id,lhs,rhs,ratio"]
     for rep in reports:
         lines.append(
             f"{rep.id},{_fmt(rep.lhs)},{_fmt(rep.rhs)},{_fmt(rep.ratio)}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, lines, comment)
 
 
 def write_json(path, payload, comment: str = ""):
     """Write a JSON payload preceded by a comment line."""
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}".rstrip() + "\n")
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, [json.dumps(payload, indent=2, sort_keys=True)], comment)
 
 
 def write_fit_json(path, fit: DecayFit, comment: str = ""):

@@ -181,6 +181,11 @@ class TaylorHoodSpace:
             np.concatenate([2 * self.boundary_nodes, 2 * self.boundary_nodes + 1])
         )
         self.boundary_vertex_ids = self.boundary_nodes[self.boundary_nodes < nv]
+        # the no-slip mask: False on the velocity dofs a Dirichlet
+        # condition removes, True on those it keeps
+        self.interior_vel = np.ones(self.n_vel, dtype=bool)
+        self.interior_vel[self.boundary_vel_dofs] = False
+        self.interior_vel.setflags(write=False)
         # lazily filled caches, shared by the CLI's sweep-ray threads and
         # filled under one lock (reentrant: the P2 matrices read quad_data)
         self._lock = threading.RLock()
@@ -249,9 +254,8 @@ def build_space(mesh: TriMesh) -> TaylorHoodSpace:
     return TaylorHoodSpace(mesh)
 
 
-def _scatter(space, local, rows_nodes, cols_nodes, shape):
+def _scatter(local, rows_nodes, cols_nodes, shape):
     """Accumulate per-element local matrices (ne, nr, nc) into CSR."""
-    ne = local.shape[0]
     rows = np.repeat(rows_nodes[:, :, None], local.shape[2], axis=2)
     cols = np.repeat(cols_nodes[:, None, :], local.shape[1], axis=1)
     mat = sp.coo_matrix(
@@ -270,10 +274,10 @@ def _scalar_p2_matrices(space: TaylorHoodSpace):
             gg = np.einsum("eq,eqmc,eqnd->ecdmn", wts, g2, g2)  # G_cd
             shape = (space.n_p2, space.n_p2)
             cells = space.cells6
-            mass = _scatter(space, mass_loc, cells, cells, shape)
-            stiff = _scatter(space, stiff_loc, cells, cells, shape)
+            mass = _scatter(mass_loc, cells, cells, shape)
+            stiff = _scatter(stiff_loc, cells, cells, shape)
             G = {
-                (c, d): _scatter(space, gg[:, c, d], cells, cells, shape)
+                (c, d): _scatter(gg[:, c, d], cells, cells, shape)
                 for c in range(2)
                 for d in range(2)
             }
@@ -281,13 +285,14 @@ def _scalar_p2_matrices(space: TaylorHoodSpace):
         return space._p2mats
 
 
-def _interleave_blocks(space, blocks, shape):
-    """Place scalar blocks[(a, b)] at velocity dof rows 2p+a, cols 2q+b."""
+def _interleave_blocks(blocks, shape):
+    """Place scalar blocks[(a, b)] at velocity dof rows 2p+a, cols 2q+b;
+    an index of None keeps that side's scalar (pressure) numbering."""
     rows, cols, vals = [], [], []
     for (a, b), blk in blocks.items():
         coo = blk.tocoo()
-        rows.append(2 * coo.row + a)
-        cols.append(2 * coo.col + b)
+        rows.append(coo.row if a is None else 2 * coo.row + a)
+        cols.append(coo.col if b is None else 2 * coo.col + b)
         vals.append(coo.data)
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -299,7 +304,7 @@ def assemble_stiffness(space: TaylorHoodSpace, mu: float):
     """A_mu with quadratic form int |grad u|^2 + mu d_k u_j d_j u_k."""
     if not (-1.0 < mu <= 1.0):
         raise ValueError("mu must lie in (-1, 1]")
-    _, stiff, G = _scalar_p2_matrices(space)
+    _, stiff, _ = _scalar_p2_matrices(space)
     A0 = sp.kron(stiff, sp.eye(2), format="csr")
     if mu == 0.0:
         return A0
@@ -310,26 +315,18 @@ def assemble_cross_term(space: TaylorHoodSpace):
     """D with x*Dx = int d_a u_b d_b u_a; entries int d_b N_p d_a N_q."""
     _, _, G = _scalar_p2_matrices(space)
     blocks = {(a, b): G[(b, a)] for a in range(2) for b in range(2)}
-    return _interleave_blocks(space, blocks, (space.n_vel, space.n_vel))
+    return _interleave_blocks(blocks, (space.n_vel, space.n_vel))
 
 
 def assemble_divergence(space: TaylorHoodSpace):
     """B with (Bx)_q = int q_h div(u_h); rows pressure, cols velocity."""
     _, wts, _, g2, p1v, _ = space.quad_data(4)
-    shape = (space.n_pres, space.n_vel)
-    rows, cols, vals = [], [], []
+    shape = (space.n_pres, space.n_p2)
+    blocks = {}
     for a in range(2):
         loc = np.einsum("eq,qm,eqn->emn", wts, p1v, g2[..., a])
-        coo = _scatter(
-            space, loc, space.mesh.triangles, space.cells6, (space.n_pres, space.n_p2)
-        ).tocoo()
-        rows.append(coo.row)
-        cols.append(2 * coo.col + a)
-        vals.append(coo.data)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    ).tocsr()
+        blocks[(None, a)] = _scatter(loc, space.mesh.triangles, space.cells6, shape)
+    return _interleave_blocks(blocks, (space.n_pres, space.n_vel))
 
 
 def assemble_gradient_coupling(space: TaylorHoodSpace):
@@ -339,20 +336,13 @@ def assemble_gradient_coupling(space: TaylorHoodSpace):
     linear nodal space.
     """
     _, wts, p2v, _, _, g1 = space.quad_data(4)
-    rows, cols, vals = [], [], []
+    shape = (space.n_p2, space.n_pres)
+    blocks = {}
     for a in range(2):
         # g1 is constant over quadrature points; loc shape (ne, 6, 3)
         loc = np.einsum("eq,qm,en->emn", wts, p2v, g1[..., a])
-        coo = _scatter(
-            space, loc, space.cells6, space.mesh.triangles, (space.n_p2, space.n_pres)
-        ).tocoo()
-        rows.append(2 * coo.row + a)
-        cols.append(coo.col)
-        vals.append(coo.data)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vel, space.n_pres),
-    ).tocsr()
+        blocks[(a, None)] = _scatter(loc, space.cells6, space.mesh.triangles, shape)
+    return _interleave_blocks(blocks, (space.n_vel, space.n_pres))
 
 
 def _eliminate(mat, keep):
@@ -369,7 +359,7 @@ def assemble_gram(space: TaylorHoodSpace, kind: str):
         _, wts, _, _, p1v, _ = space.quad_data(4)
         loc = np.einsum("eq,qm,qn->emn", wts, p1v, p1v)
         return _scatter(
-            space, loc, space.mesh.triangles, space.mesh.triangles,
+            loc, space.mesh.triangles, space.mesh.triangles,
             (space.n_pres, space.n_pres),
         )
     mass, stiff, _ = _scalar_p2_matrices(space)
@@ -378,9 +368,7 @@ def assemble_gram(space: TaylorHoodSpace, kind: str):
     K1 = sp.kron(mass + stiff, sp.eye(2), format="csr")
     if kind == "H1_full":
         return K1
-    keep = np.ones(space.n_vel, dtype=bool)
-    keep[space.boundary_vel_dofs] = False
-    return _eliminate(K1, keep)
+    return _eliminate(K1, space.interior_vel)
 
 
 @dataclass(frozen=True)
@@ -461,10 +449,8 @@ class AssembledSystem:
 
 
 def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
-    if not (-1.0 < mu <= 1.0):
-        raise ValueError("mu must lie in (-1, 1]")
     A0 = assemble_stiffness(space, 0.0)
-    D = assemble_cross_term(space)
+    A_mu = A0 if mu == 0.0 else assemble_stiffness(space, mu)
     return AssembledSystem(
         space=space,
         mu=mu,
@@ -475,5 +461,5 @@ def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
         K1=assemble_gram(space, "H1_full"),
         K10=assemble_gram(space, "H1_zero"),
         C=assemble_gradient_coupling(space),
-        A_mu=A0 if mu == 0.0 else (A0 + mu * D).tocsr(),
+        A_mu=A_mu,
     )

@@ -89,14 +89,6 @@ class ConvexPolygon:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
-    def contains(self, points, tol: float = 1e-12):
-        """Boolean mask: which points lie in the closed polygon."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.ones(len(pts), dtype=bool)
-        for f in self.faces:
-            inside &= (pts - f.start) @ f.normal <= tol * max(1.0, self.diameter())
-        return inside if np.asarray(points).ndim == 2 else inside[0]
-
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -311,9 +303,12 @@ def regular_ngon(n: int, radius: float = 1.0) -> ConvexPolygon:
     return ConvexPolygon(radius * np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-def write_tmesh2d(mesh: TriMesh, path):
-    """Write the mesh in the `tmesh2d v1` text format."""
+def write_tmesh2d(mesh: TriMesh, path, comment: str = ""):
+    """Write the mesh in the `tmesh2d v1` text format, after a leading
+    `# comment` line when a comment is given."""
     with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
         fh.write("tmesh2d\n")
         fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {len(mesh.boundary_edges)}\n")
         for x, y in mesh.nodes:

@@ -23,13 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
 from .helmholtz import ImplicitSolenoidalProjector
-from .solver import (
-    NumericalError,
-    ResolventOperator,
-    SectorSample,
-    in_resolved_window,
-    split_complex,
-)
+from .solver import NumericalError, ResolventOperator, SectorSample, split_complex
 
 __all__ = [
     "OperatorSpec",
@@ -121,17 +115,30 @@ def _gram_solver(system: AssembledSystem, norm: str):
         return space._gram_cache[norm]
 
 
+def _dual_solver(system: AssembledSystem, norm: str):
+    """The Riesz map of a dual input norm, riesz(load) = K^{-1} load.
+
+    For "H1_zero_dual" the functional only acts on zero-trace fields:
+    riesz zeroes the boundary rows of `load` in place first. K10 is the
+    identity on those rows, so its result is exactly zero there too."""
+    solve = _gram_solver(system, norm)
+    if norm != "H1_zero_dual":
+        return solve
+    boundary = system.space.boundary_vel_dofs
+
+    def riesz(load):
+        load[boundary] = 0.0
+        return solve(load)
+
+    return riesz
+
+
 def dual_h_minus1_norm(system: AssembledSystem, load, flavor: str = "H1_zero_dual"):
     """Dual norm (l* K^{-1} l)^(1/2) against the H1 Gram of the flavor."""
     if flavor not in ("H1_zero_dual", "H1_full_dual"):
         raise ValueError(f"unknown dual flavor {flavor!r}")
-    solve = _gram_solver(system, flavor)
-    load = np.asarray(load)
-    if flavor == "H1_zero_dual":
-        # the functional only acts on zero-trace fields
-        load = load.copy()
-        load[system.space.boundary_vel_dofs] = 0.0
-    val = np.vdot(load, solve(load))
+    load = np.array(load)  # the Riesz map may zero rows of its argument
+    val = np.vdot(load, _dual_solver(system, flavor)(load))
     return float(np.sqrt(max(np.real(val), 0.0)))
 
 
@@ -181,26 +188,20 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
     if spec.output == "phi":
         return None, lambda p: system.M_q @ p
     if spec.output == "u_h_minus1":
-        solve = _gram_solver(system, "H1_zero_dual")
-        mask = np.ones(system.space.n_vel)
-        mask[system.space.boundary_vel_dofs] = 0.0
-
-        # M_v D K10^{-1} D M_v with D the zero-trace mask: symmetric, so
-        # the normal operator stays Hermitian on every boundary condition
-        def weight(u):
-            load = mask * (system.M_v @ u)
-            return system.M_v @ (mask * solve(load))
-
-        return weight, None
+        # M_v D K10^{-1} D M_v with D the zero-trace mask, which the Riesz
+        # map applies on both sides: symmetric, so the normal operator
+        # stays Hermitian on every boundary condition
+        riesz = _dual_solver(system, "H1_zero_dual")
+        return lambda u: system.M_v @ riesz(system.M_v @ u), None
     raise ValueError(spec.output)
 
 
 def _input_gram(system, Z, norm):
     """Gram of the columns of Z in the dual input norm `norm`."""
     MZ = np.asarray(system.M_v @ Z)
-    if norm == "H1_zero_dual":
-        MZ[system.space.boundary_vel_dofs, :] = 0.0
-    G = MZ.T @ _gram_solver(system, norm)(MZ)
+    # one expression: the Riesz map zeroes MZ's boundary rows in place,
+    # and naming its output would hold a second dense copy past the product
+    G = MZ.T @ _dual_solver(system, norm)(MZ)
     return 0.5 * (G + G.T)
 
 
@@ -337,16 +338,14 @@ def dense_operator_norm(
     return float(np.sqrt(max(nu, 0.0)))
 
 
-def fit_decay_exponent(samples, h: float | None = None) -> DecayFit:
+def fit_decay_exponent(samples) -> DecayFit:
     """Least-squares decay exponent of N(lam) ~ lam^(-alpha).
 
-    `samples` is a list of (abs_lambda, N). Samples with abs_lambda
-    beyond the resolved window 1/h² are dropped when h is given. The fit
-    needs at least 5 samples spanning at least 2 decades.
+    `samples` is a list of (abs_lambda, N), already cut to the resolved
+    window (SweepRecord.series). The fit needs at least 5 samples
+    spanning at least 2 decades.
     """
     pts = [(float(a), float(n)) for a, n in samples if n > 0]
-    if h is not None:
-        pts = [(a, n) for a, n in pts if in_resolved_window(a, h)]
     if len(pts) < 5:
         raise NumericalError(f"only {len(pts)} usable samples; need at least 5")
     la = np.log10([a for a, _ in pts])

@@ -18,20 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (
-    AssembledSystem,
-    BoundaryCondition,
-    BoundaryG,
-    _eliminate,
-    load_vector,
-)
+from .fem import AssembledSystem, BoundaryCondition, _eliminate, load_vector
 
 __all__ = [
     "SectorSample",
     "ResolventSolution",
     "ResolventOperator",
     "solve_resolvent",
-    "residual_report",
     "in_resolved_window",
     "NumericalError",
     "split_complex",
@@ -119,8 +112,7 @@ class ResolventOperator:
         real = lam.dtype == np.float64
         z = lam_c.real if real else lam_c
         if bc.is_dirichlet:
-            keep = np.ones(self.n_vel, dtype=bool)
-            keep[space.boundary_vel_dofs] = False
+            keep = space.interior_vel
             S = _eliminate(z * system.M_v + system.A0, keep)
             Bt = system.B @ sp.diags(keep.astype(float))
             m = np.asarray(system.M_q @ np.ones(self.n_pres)).reshape(-1, 1)
@@ -199,8 +191,6 @@ def _assemble_load(system, bc, rhs):
         return rhs.astype(np.result_type(float, rhs), copy=False)
     load = np.zeros(system.space.n_vel)
     for part in parts:
-        if bc.is_dirichlet and isinstance(part, BoundaryG):
-            raise ValueError("boundary data cannot be combined with a Dirichlet condition")
         load = load + load_vector(system.space, part, bc)
     return load
 
@@ -234,9 +224,3 @@ def solve_resolvent(
             sol.warnings.append(f"pressure mean {mean:.3g} not zero")
     return sol
 
-
-def residual_report(solution: ResolventSolution, system: AssembledSystem, rhs):
-    """Recompute block residuals of a solution against a right-hand side."""
-    op = ResolventOperator(system, solution.bc, solution.lam)
-    Fv = _assemble_load(system, solution.bc, rhs)
-    return op.residuals(solution.u, solution.phi, Fv)

@@ -302,6 +302,29 @@ def test_write_sweep_csv(tmp_path):
     assert fields[4] == "" and fields[7] == ""
 
 
+def test_sweep_fits_only_the_resolved_window():
+    # level 2: 1/h^2 = 8, and the grid runs on to 10^1.6
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    grid = default_lambda_grid(-1.4, 1.6, 16)
+    limit = 1.0 / system.space.mesh.h**2
+    resolved = [a for a in grid if a <= limit]
+    record, fit = sweep_pressure_decay(
+        system, BoundaryCondition("neumann"), lam_grid=grid, outputs=("phi",)
+    )
+    assert len(record.samples) == len(grid) > len(resolved) >= 5
+    assert fit.n_samples == len(resolved)
+    assert fit.window_max == pytest.approx(max(resolved), rel=1e-12)
+    assert fit.window_max <= limit
+
+
+def test_write_artifact_header(tmp_path):
+    path = tmp_path / "a.csv"
+    experiments.write_artifact(path, ["x,y", "1,2"], comment="cfg")
+    assert path.read_text() == "# cfg\nx,y\n1,2\n"
+    experiments.write_artifact(path, ["x"])
+    assert path.read_text() == "#\nx\n"
+
+
 def test_write_report_csv(tmp_path):
     rep = IdentityReport("linear_radial", 8.0, 8.0)
     path = tmp_path / "rep.csv"

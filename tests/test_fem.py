@@ -201,6 +201,15 @@ def test_h1_zero_elimination(fine_space):
     assert np.max(np.abs(rows)) == 0.0
 
 
+def test_interior_mask_is_the_read_only_complement_of_the_boundary(fine_space):
+    mask = fine_space.interior_vel
+    expect = np.ones(fine_space.n_vel, dtype=bool)
+    expect[fine_space.boundary_vel_dofs] = False
+    assert mask.dtype == bool and np.array_equal(mask, expect)
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+
+
 def test_load_zero(fine_space):
     load = load_vector(fine_space, VolumeF(lambda p: np.zeros_like(p)))
     assert np.max(np.abs(load)) == 0.0
@@ -296,6 +305,25 @@ def test_build_system(fine_space):
         assert np.max(np.abs(d.data)) < 1e-14 if d.nnz else True
         vals = np.linalg.eigvalsh(M.toarray())
         assert vals.min() > 0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_build_system_assembles_the_cross_term_only_for_nonzero_mu(
+    fine_space, monkeypatch, mu
+):
+    from srlab import fem
+
+    calls = []
+    cross_term = fem.assemble_cross_term
+
+    def counted(space):
+        calls.append(1)
+        return cross_term(space)
+
+    monkeypatch.setattr(fem, "assemble_cross_term", counted)
+    sys = build_system(fine_space, mu=mu)
+    assert len(calls) == (0 if mu == 0.0 else 1)
+    assert (sys.A_mu != assemble_stiffness(fine_space, mu)).nnz == 0
 
 
 def test_velocity_hessians(fine_space):

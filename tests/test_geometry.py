@@ -131,6 +131,15 @@ def test_tmesh2d_roundtrip(tmp_path):
     back.validate()
 
 
+def test_tmesh2d_comment_line(tmp_path):
+    mesh = triangulate(unit_square(), 0.4)
+    plain, commented = tmp_path / "a.tmesh2d", tmp_path / "b.tmesh2d"
+    write_tmesh2d(mesh, plain)
+    write_tmesh2d(mesh, commented, "srlab cfg")
+    assert commented.read_text() == "# srlab cfg\n" + plain.read_text()
+    assert np.array_equal(read_tmesh2d(commented).nodes, mesh.nodes)
+
+
 def test_tmesh2d_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nope\n")
