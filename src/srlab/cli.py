@@ -102,6 +102,8 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
 
     grid = raw.get("lambda", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("lambda must be an object")
     known = {
         "experiment", "domain", "bc", "mu", "theta", "lambda",
         "level", "seed", "out_dir", "load", "patch", "dual",
@@ -110,19 +112,27 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if not isinstance(extras.get("dual", False), bool):
+        raise ConfigError("dual must be true or false")
+
+    def value(table, key, convert, default):
+        try:
+            return convert(table.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
     cfg = ExperimentConfig(
         experiment_id=str(raw.get("experiment", "run")),
         domain=str(raw.get("domain", "unit_square")),
         bc_tag=str(raw.get("bc", "dirichlet")),
-        mu=float(raw.get("mu", 0.0)),
-        theta=float(raw.get("theta", 2 * np.pi / 3)),
-        log10_min=float(grid.get("log10_min", 0.0)),
-        log10_max=float(grid.get("log10_max", 2.0)),
-        count=int(grid.get("count", 9)),
-        rays=tuple(float(r) for r in grid.get("rays", [0.0])),
-        level=int(raw.get("level", 3)),
-        seed=int(raw.get("seed", 0)),
+        mu=value(raw, "mu", float, 0.0),
+        theta=value(raw, "theta", float, 2 * np.pi / 3),
+        log10_min=value(grid, "log10_min", float, 0.0),
+        log10_max=value(grid, "log10_max", float, 2.0),
+        count=value(grid, "count", int, 9),
+        rays=value(grid, "rays", lambda rays: tuple(float(r) for r in rays), [0.0]),
+        level=value(raw, "level", int, 3),
+        seed=value(raw, "seed", int, 0),
         out_dir=str(out_override or raw.get("out_dir", ".")),
         extras=extras,
         config_hash=_config_hash(raw),
@@ -314,7 +324,7 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 def cmd_sweep(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     mesh = build_mesh(cfg)
     space = build_space(mesh)
-    dual = bool(cfg.extras.get("dual", False))
+    dual = cfg.extras.get("dual", False)
     if dual and space.n_vel > DENSE_BASIS_LIMIT:
         # the dual input norm has only the dense explicit basis
         raise ConfigError(

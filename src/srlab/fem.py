@@ -442,8 +442,6 @@ class AssembledSystem:
     M_q: sp.csr_matrix
     A0: sp.csr_matrix
     B: sp.csr_matrix
-    K1: sp.csr_matrix
-    K10: sp.csr_matrix
     A_mu: sp.csr_matrix  # A0 + mu * cross term, the natural-condition stiffness
     C: sp.csr_matrix = field(repr=False, default=None)
 
@@ -458,8 +456,6 @@ def build_system(space: TaylorHoodSpace, mu: float = 0.0) -> AssembledSystem:
         M_q=assemble_gram(space, "pressure_mass"),
         A0=A0,
         B=assemble_divergence(space),
-        K1=assemble_gram(space, "H1_full"),
-        K10=assemble_gram(space, "H1_zero"),
         C=assemble_gradient_coupling(space),
         A_mu=A_mu,
     )

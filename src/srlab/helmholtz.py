@@ -4,16 +4,20 @@ Every projection here is the M_v-orthogonal projection onto the null
 space of a sparse constraint matrix A, applied through one sparse
 augmented solve
 
-    [ M_v  A^T ] [x]   [M_v f]
-    [  A    0  ] [y] = [  0  ],
+    [ s M_v  A^T ] [x]   [s M_v f]
+    [   A     0  ] [y] = [   0   ],   s = 1/h^2,
 
-whose velocity block x is the projected field. The solenoidal flavors
-constrain the divergence (and the normal trace); the Helmholtz flavors
-P and Q constrain the gradients of the linear nodal potentials, A = C^T,
-so that x = f + M_v^{-1} C chi with the scalar potential chi = -y. L2
-operator norms use the projector at every mesh size; the explicit basis,
-a dense SVD of the same constraints orthonormalized once in its input
-norm, serves only the dual input norms and the tests' dense oracle.
+whose velocity block x is the projected field. The scale s leaves x
+alone and balances the O(h^2) mass entries against the O(h) constraint
+entries, so SuperLU's threshold pivoting keeps its diagonal pivots
+instead of swapping rows, and the factor fills 32-40% less on levels
+3-6. The solenoidal flavors constrain the divergence (and the normal
+trace); the Helmholtz flavors P and Q constrain the gradients of the
+linear nodal potentials, A = C^T, so that x = f + M_v^{-1} C chi with
+the scalar potential chi = -y / s. L2 operator norms use the projector
+at every mesh size; the explicit basis, a dense SVD of the same
+constraints orthonormalized once in its input norm, serves only the dual
+input norms and the tests' dense oracle.
 """
 from __future__ import annotations
 
@@ -107,7 +111,11 @@ class ImplicitSolenoidalProjector:
             A = A[1:]
         self.flavor = flavor
         self.system = system
-        K = sp.bmat([[system.M_v, A.T], [A, None]], format="csc")
+        # the balancing scale of the module docstring; on the unit square
+        # at levels 3-5, s = 1/h gains nothing, 1/h^1.5 gains all of it
+        # only from level 4 on, and 1/h^2.5 gains less at level 5
+        self._s = 1.0 / system.space.mesh.h**2
+        K = sp.bmat([[self._s * system.M_v, A.T], [A, None]], format="csc")
         # the saddle matrix is real; factoring in real arithmetic halves
         # the memory and real/imag parts are solved separately
         self._lu_solve = split_complex(spla.splu(K).solve)
@@ -115,10 +123,10 @@ class ImplicitSolenoidalProjector:
         self._m = A.shape[0]
 
     def _solve(self, f):
-        """Velocity block followed by the multiplier block."""
+        """Velocity block followed by the multiplier block (times s)."""
         f = np.asarray(f)
-        rhs = np.concatenate([self.system.M_v @ f, np.zeros(self._m, dtype=f.dtype)])
-        return self._lu_solve(rhs)
+        load = self._s * (self.system.M_v @ f)
+        return self._lu_solve(np.concatenate([load, np.zeros(self._m, dtype=f.dtype)]))
 
     def project(self, f):
         return self._solve(f)[: self._n_vel]
@@ -141,7 +149,7 @@ class HelmholtzProjector(ImplicitSolenoidalProjector):
     def potential(self, f):
         """Scalar potential chi with apply(f) = f + M_v^{-1} C chi: on all
         vertices with M_q-mean zero for P, on the interior vertices for Q."""
-        chi = -self._solve(f)[self._n_vel :]
+        chi = -self._solve(f)[self._n_vel :] / self._s
         if self.flavor == "neumann":
             # the dropped row pinned chi[0] = 0; restore the mean-zero gauge
             chi = np.concatenate([np.zeros(1, dtype=chi.dtype), chi])

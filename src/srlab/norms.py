@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace
+from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace, assemble_gram
 from .helmholtz import ImplicitSolenoidalProjector
 from .solver import NumericalError, ResolventOperator, SectorSample, split_complex
 
@@ -46,6 +46,7 @@ OUTPUTS = (
     "u_h_minus1",
 )
 INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
+_H1_GRAMS = {"H1_zero_dual": "H1_zero", "H1_full_dual": "H1_full"}
 
 POWER_TOL = 1e-11
 POWER_MAXIT = 500
@@ -105,13 +106,14 @@ def broken_h2_seminorm(space: TaylorHoodSpace, coeffs, region=None):
 def _gram_solver(system: AssembledSystem, norm: str):
     """Solve with the Gram matrix of an input norm (M_v for "L2", the H1
     Grams K10 and K1 for the dual flavors). Each real Gram is factored
-    once per system, on first use; complex loads are split."""
+    once per space, on first use; only the dual norms read K10 and K1,
+    so they are assembled here rather than with the system. Complex
+    loads are split."""
     space = system.space
-    grams = {"L2": system.M_v, "H1_zero_dual": system.K10, "H1_full_dual": system.K1}
     with space._lock:
         if norm not in space._gram_cache:
-            K = grams[norm].tocsc()
-            space._gram_cache[norm] = split_complex(spla.factorized(K))
+            K = system.M_v if norm == "L2" else assemble_gram(space, _H1_GRAMS[norm])
+            space._gram_cache[norm] = split_complex(spla.factorized(K.tocsc()))
         return space._gram_cache[norm]
 
 

@@ -279,6 +279,25 @@ def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
     assert "n_vel = 8450" in err and str(DENSE_BASIS_LIMIT) in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"dual": "false"},
+        {"lambda": 5},
+        {"lambda": {"rays": 5}},
+        {"seed": [1]},
+        {"mu": None},
+    ],
+    ids=["dual-string", "lambda-number", "rays-number", "seed-list", "mu-null"],
+)
+def test_malformed_config_value_is_config_error(tmp_path, overrides):
+    grid = {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}}
+    cfg = write_cfg(tmp_path, **{**grid, **overrides})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_check_grisvard_subcommand(tmp_path):
     cfg = write_cfg(tmp_path, level=3)
     out = tmp_path / "out"

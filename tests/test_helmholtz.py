@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from srlab import helmholtz
 from srlab.fem import build_space, build_system, BoundaryCondition
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
     HelmholtzProjector,
     ImplicitSolenoidalProjector,
+    constraint_matrix,
     solenoidal_basis,
 )
 from srlab.solver import SectorSample, solve_resolvent
@@ -44,6 +47,36 @@ def test_idempotence(sys3, flavor):
     proj = ImplicitSolenoidalProjector(sys3, flavor)
     pf = proj.project(f)
     assert m_norm(sys3, proj.project(pf) - pf) <= 1e-9 * m_norm(sys3, f)
+
+
+@pytest.fixture(scope="module")
+def sys4():
+    return build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 16)))
+
+
+def lu_fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("flavor", ["neumann", "dirichlet", "L2_sigma", "calL2_sigma"])
+def test_balanced_factor_fills_less(sys4, flavor, monkeypatch):
+    # the unscaled augmented system, with the same dependent row dropped
+    A = constraint_matrix(sys4, flavor)
+    if flavor in ("L2_sigma", "neumann"):
+        A = A[1:]
+    unscaled = lu_fill(spla.splu(sp.bmat([[sys4.M_v, A.T], [A, None]], format="csc")))
+    fills = []
+    splu = spla.splu
+
+    def captured(K, *args, **kwargs):
+        lu = splu(K, *args, **kwargs)
+        fills.append(lu_fill(lu))
+        return lu
+
+    monkeypatch.setattr(helmholtz.spla, "splu", captured)
+    ImplicitSolenoidalProjector(sys4, flavor)
+    assert len(fills) == 1
+    assert fills[0] <= 0.7 * unscaled
 
 
 def test_project_q_constant(sys3):

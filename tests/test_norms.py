@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from srlab import experiments, norms
-from srlab.fem import BoundaryCondition, build_space, build_system
+from srlab.fem import BoundaryCondition, assemble_gram, build_space, build_system
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
     ImplicitSolenoidalProjector,
@@ -108,13 +108,13 @@ def test_dual_norm(sys2, space2):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(space2.n_vel)
     x[space2.boundary_vel_dofs] = 0.0
-    load = sys2.K10 @ x
+    load = assemble_gram(space2, "H1_zero") @ x
     expect = np.sqrt(x @ load)
     assert dual_h_minus1_norm(sys2, load, "H1_zero_dual") == pytest.approx(
         expect, rel=1e-10
     )
     y = rng.standard_normal(space2.n_vel)
-    loadf = sys2.K1 @ y
+    loadf = assemble_gram(space2, "H1_full") @ y
     assert dual_h_minus1_norm(sys2, loadf, "H1_full_dual") == pytest.approx(
         np.sqrt(y @ loadf), rel=1e-10
     )
@@ -341,6 +341,28 @@ def test_dual_solver_factors_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
     assert len(solvers) == n_threads and all(s is solvers[0] for s in solvers)
+
+
+def test_h1_grams_are_assembled_only_for_a_dual_norm(monkeypatch):
+    from srlab import fem
+
+    kinds = []
+    gram = fem.assemble_gram
+
+    def counted(space, kind):
+        kinds.append(kind)
+        return gram(space, kind)
+
+    monkeypatch.setattr(fem, "assemble_gram", counted)
+    monkeypatch.setattr(norms, "assemble_gram", counted)
+    # a fresh space: it holds no Gram factorization yet
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    norms._gram_solver(system, "L2")
+    assert kinds == ["velocity_mass", "pressure_mass"]
+    for _ in range(2):
+        norms._gram_solver(system, "H1_full_dual")
+        norms._gram_solver(system, "H1_zero_dual")
+    assert kinds[2:] == ["H1_full", "H1_zero"]
 
 
 def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
