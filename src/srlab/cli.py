@@ -109,31 +109,45 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
         "level", "seed", "out_dir", "load", "patch", "dual",
     }
     extras = {k: raw[k] for k in ("load", "patch", "dual") if k in raw}
-    unknown = set(raw) - known
+    unknown = sorted(set(raw) - known) + sorted(
+        f"lambda.{k}" for k in set(grid) - {"log10_min", "log10_max", "count", "rays"}
+    )
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {unknown}")
     if not isinstance(extras.get("dual", False), bool):
         raise ConfigError("dual must be true or false")
 
-    def value(table, key, convert, default):
-        try:
-            return convert(table.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    def value(table, key, kind, default):
+        """table[key], or default, as a kind: str takes a JSON string,
+        float a JSON number that is not a boolean, int an integral one
+        (5 or 5.0), and tuple a list of numbers, as floats."""
+        got = table.get(key, default)
+        if kind is tuple and isinstance(got, list):
+            return tuple(value({key: g}, key, float, None) for g in got)
+        number = isinstance(got, (int, float)) and not isinstance(got, bool)
+        ok = {
+            str: isinstance(got, str),
+            float: number,
+            int: number and (isinstance(got, int) or got.is_integer()),
+        }
+        if not ok.get(kind, False):
+            raise ConfigError(f"{key!r} must be {kind.__name__}, not {got!r}")
+        return kind(got)
 
+    out_dir = value(raw, "out_dir", str, ".")
     cfg = ExperimentConfig(
-        experiment_id=str(raw.get("experiment", "run")),
-        domain=str(raw.get("domain", "unit_square")),
-        bc_tag=str(raw.get("bc", "dirichlet")),
+        experiment_id=value(raw, "experiment", str, "run"),
+        domain=value(raw, "domain", str, "unit_square"),
+        bc_tag=value(raw, "bc", str, "dirichlet"),
         mu=value(raw, "mu", float, 0.0),
         theta=value(raw, "theta", float, 2 * np.pi / 3),
         log10_min=value(grid, "log10_min", float, 0.0),
         log10_max=value(grid, "log10_max", float, 2.0),
         count=value(grid, "count", int, 9),
-        rays=value(grid, "rays", lambda rays: tuple(float(r) for r in rays), [0.0]),
+        rays=value(grid, "rays", tuple, [0.0]),
         level=value(raw, "level", int, 3),
         seed=value(raw, "seed", int, 0),
-        out_dir=str(out_override or raw.get("out_dir", ".")),
+        out_dir=out_override or out_dir,
         extras=extras,
         config_hash=_config_hash(raw),
     )

@@ -116,7 +116,7 @@ class SweepRecord:
 class IdentityReport:
     """Volume-vs-boundary evaluation of the divergence identity."""
 
-    descriptor: str
+    id: str
     lhs: float
     rhs: float
 
@@ -135,17 +135,13 @@ class IdentityReport:
             return 0.0 if self.lhs == 0.0 else np.inf
         return self.lhs / self.rhs
 
-    @property
-    def id(self) -> str:
-        return self.descriptor
-
 
 @dataclass(frozen=True)
 class LocalizedReport:
     """One localized inequality evaluated on a cube patch."""
 
     patch: CubePatch
-    inequality_id: str
+    id: str
     lhs: float
     rhs: float
 
@@ -154,10 +150,6 @@ class LocalizedReport:
         if self.rhs == 0.0:
             return 0.0
         return self.lhs / self.rhs
-
-    @property
-    def id(self) -> str:
-        return self.inequality_id
 
 
 @dataclass(frozen=True)
@@ -314,38 +306,36 @@ def check_uniform_resolvent(
     system: AssembledSystem,
     bc: BoundaryCondition,
     lam_grid=None,
-    p_list=(2, 3, 4),
     f=None,
-    F=None,
-    arg_lambda: float = 0.0,
-    theta: float = np.pi / 2,
 ) -> SweepRecord:
-    """Per-lambda solution-norm ratios for one fixed representative load.
+    """Per-lambda solution-norm ratios on the positive real axis for one
+    fixed representative load.
 
-    Records |lam| ||u||_p / ||f||_p and |lam|^(1/2) ||grad u||_p / ||f||_p
-    for each p, plus the divergence-form triple
-    (|lam|^(1/2)||u||_p + ||grad u||_p + ||phi||_p) / ||F||_p.
-    A vanishing F yields an empty record rather than 0/0 ratios."""
+    For p = 2, 3, 4, records |lam| ||u||_p / ||f||_p and
+    |lam|^(1/2) ||grad u||_p / ||f||_p for the volume load f (by default
+    the bubble curl), plus the divergence-form triple
+    (|lam|^(1/2)||u||_p + ||grad u||_p + ||phi||_p) / ||F||_p for the
+    fixed tensor F = _default_tensor. A vanishing f yields an empty
+    record rather than 0/0 ratios."""
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     space = system.space
     f = f if f is not None else VolumeF(_bubble_curl)
-    F = F if F is not None else DivergenceF(_default_tensor)
-    f_norms = {p: _callable_lp(space, f.f, p) for p in p_list}
-    F_norms = {p: _callable_lp(space, F.F, p, tensor=True) for p in p_list}
+    F = DivergenceF(_default_tensor)
+    f_norms = {p: _callable_lp(space, f.f, p) for p in (2, 3, 4)}
+    F_norms = {p: _callable_lp(space, F.F, p, tensor=True) for p in (2, 3, 4)}
     h = space.mesh.h
-    if max(F_norms.values()) == 0.0 or max(f_norms.values()) == 0.0:
-        return SweepRecord(arg_lambda=arg_lambda, h=h)
+    if max(f_norms.values()) == 0.0:
+        return SweepRecord(arg_lambda=0.0, h=h)
     load_f = load_vector(space, f, bc)
     load_F = load_vector(space, F, bc)
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
-        lam = SectorSample(a * np.exp(1j * arg_lambda), theta)
-        op = ResolventOperator(system, bc, lam)
+        op = ResolventOperator(system, bc, SectorSample(a))
         u1, _ = op.solve(load_f)
         u2, phi2 = op.solve(load_F)
         row = {"abs_lambda": a, "resolved": in_resolved_window(a, h)}
-        for p in p_list:
+        for p in (2, 3, 4):
             vel = a * lp_norm(space, u1, p) / f_norms[p]
             grad = np.sqrt(a) * lp_norm(space, u1, p, kind="velocity_gradient")
             grad /= f_norms[p]
@@ -357,65 +347,36 @@ def check_uniform_resolvent(
             row[f"vel_p{p}"] = vel
             row[f"grad_p{p}"] = grad
             row[f"div_p{p}"] = triple
-        if 2 in p_list:
-            row["C_velocity"] = row["vel_p2"]
-            row["C_gradient"] = row["grad_p2"]
-            row["C_pressure"] = row["div_p2"]
-        if 3 in p_list:
-            row["Cp_p3"] = row["vel_p3"]
-        if 4 in p_list:
-            row["Cp_p4"] = row["vel_p4"]
+        row["C_velocity"] = row["vel_p2"]
+        row["C_gradient"] = row["grad_p2"]
+        row["C_pressure"] = row["div_p2"]
+        row["Cp_p3"] = row["vel_p3"]
+        row["Cp_p4"] = row["vel_p4"]
         samples.append(row)
-    return SweepRecord(arg_lambda=arg_lambda, h=h, samples=samples)
-
-
-def _as_field_pair(v, Jv):
-    """Accepts (callable, callable) or sympy expressions; returns callables."""
-    if Jv is not None:
-        return v, Jv
-    import sympy as sp
-
-    x, y = sp.symbols("x y")
-    exprs = list(v)
-    J = [[sp.diff(e, var) for var in (x, y)] for e in exprs]
-    vf = sp.lambdify((x, y), exprs, "numpy")
-    Jf = sp.lambdify((x, y), J, "numpy")
-
-    def v_call(pts):
-        out = vf(pts[:, 0], pts[:, 1])
-        return np.stack(
-            [np.broadcast_to(o, pts.shape[:1]) for o in out], axis=-1
-        ).astype(complex)
-
-    def J_call(pts):
-        rows = Jf(pts[:, 0], pts[:, 1])
-        out = np.empty(pts.shape[:1] + (2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                out[:, i, j] = np.broadcast_to(rows[i][j], pts.shape[:1])
-        return out
-
-    return v_call, J_call
+    return SweepRecord(arg_lambda=0.0, h=h, samples=samples)
 
 
 def check_grisvard(
     polygon: ConvexPolygon,
     v,
-    Jv=None,
-    quad_order: int = 8,
     target_h: float = 0.05,
     descriptor: str = "field",
 ) -> IdentityReport:
     """Evaluate both sides of the volume/boundary divergence identity.
 
     LHS integrates |div v|^2 - sum_jk (d_j v_k)(conj d_k v_j) over the
-    polygon; RHS sums facewise arclength-derivative terms. `v` is either
-    a pair of callables (values, Jacobians) or a sequence of two sympy
-    expressions in x, y from which the Jacobian is derived."""
-    v_call, J_call = _as_field_pair(v, Jv)
-    phys, wts = build_space(triangulate(polygon, target_h)).quad_data(quad_order)[:2]
+    polygon; RHS sums facewise arclength-derivative terms. `v` is a pair
+    of sympy expressions in the plain symbols x, y; its Jacobian is
+    derived from them."""
+    # sympy is slow to import: load it here, never on `import srlab.cli`
+    import sympy as sp
+
+    from .manufactured import field_callables
+
+    v_call, J_call = field_callables(v, sp.symbols("x y"))
+    phys, wts = build_space(triangulate(polygon, target_h)).quad_data(8)[:2]
     flat = phys.reshape(-1, 2)
-    Jv_vals = np.asarray(J_call(flat))
+    Jv_vals = J_call(flat)
     div = Jv_vals[:, 0, 0] + Jv_vals[:, 1, 1]
     cross = np.einsum("nij,nji->n", Jv_vals, np.conj(Jv_vals))
     lhs = float(np.sum(wts.ravel() * (np.abs(div) ** 2 - np.real(cross))))
@@ -429,11 +390,9 @@ def check_grisvard(
             b = face.start + (face.end - face.start) * ((k + 1) / n_panels)
             seg_pts = a + np.multiply.outer(s, b - a)
             length = np.linalg.norm(b - a)
-            vals = np.asarray(v_call(seg_pts))
-            Jvals = np.asarray(J_call(seg_pts))
-            integrand = face_boundary_integrand(face, vals, Jvals)
+            integrand = face_boundary_integrand(face, v_call(seg_pts), J_call(seg_pts))
             rhs += length * float(np.sum(sw * integrand))
-    return IdentityReport(descriptor=descriptor, lhs=lhs, rhs=rhs)
+    return IdentityReport(descriptor, lhs, rhs)
 
 
 def _trig_field(space):

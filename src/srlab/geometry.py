@@ -319,9 +319,9 @@ def write_tmesh2d(mesh: TriMesh, path, comment: str = ""):
             fh.write(f"{a} {b} {fid}\n")
 
 
-def read_tmesh2d(path, polygon: ConvexPolygon | None = None) -> TriMesh:
-    """Read a `tmesh2d v1` file. If no polygon is given, one is rebuilt
-    from the boundary edges (requires the boundary to be convex)."""
+def read_tmesh2d(path) -> TriMesh:
+    """Read a `tmesh2d v1` file. The polygon is always rebuilt from the
+    face tags of the boundary edges (requires the boundary to be convex)."""
     with open(path) as fh:
         header = fh.readline().strip()
         while header.startswith("#"):
@@ -332,9 +332,7 @@ def read_tmesh2d(path, polygon: ConvexPolygon | None = None) -> TriMesh:
         nodes = np.array([list(map(float, fh.readline().split())) for _ in range(nn)])
         tris = np.array([list(map(int, fh.readline().split())) for _ in range(nt)])
         bedges = np.array([list(map(int, fh.readline().split())) for _ in range(nb)])
-    if polygon is None:
-        polygon = _polygon_from_boundary(nodes, bedges)
-    return TriMesh(polygon, nodes, tris, bedges)
+    return TriMesh(_polygon_from_boundary(nodes, bedges), nodes, tris, bedges)
 
 
 def _polygon_from_boundary(nodes, bedges) -> ConvexPolygon:

@@ -1,9 +1,9 @@
 """Manufactured resolvent solutions for convergence studies.
 
-Each case carries callables for the exact velocity, pressure, gradient,
-and the matching volume force f = lam u - Lap u + grad phi. Neumann cases
-additionally carry the natural boundary data g = {Du + mu Du^T} n - phi n
-per polygon face.
+Each case lives on the unit square and carries callables for the exact
+velocity, pressure, gradient, the matching volume force
+f = lam u - Lap u + grad phi, and the natural boundary data
+g = {Du + mu Du^T} n - phi n per face, which Neumann studies load.
 """
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as smp
 
+from .geometry import unit_square
+
 __all__ = [
     "ManufacturedCase",
+    "field_callables",
     "dirichlet_square_case",
     "neumann_square_case",
     "l2_errors",
@@ -22,23 +25,24 @@ __all__ = [
 _X, _Y = smp.symbols("x y", real=True)
 
 
-def _lambdify_vec(exprs):
-    fns = [smp.lambdify((_X, _Y), e, "numpy") for e in exprs]
+def field_callables(exprs, symbols):
+    """Complex pointwise callables of the sympy field `exprs` in the two
+    `symbols`: values (n,2) -> (n,k) and the Jacobian (n,2) -> (n,k,2),
+    J[:, a, b] = d exprs[a] / d symbols[b]."""
+    jac = [smp.diff(e, s) for e in exprs for s in symbols]
+    k = len(exprs)
+    return _pointwise(exprs, symbols, (k,)), _pointwise(jac, symbols, (k, 2))
+
+
+def _pointwise(exprs, symbols, shape):
+    """(n,2) points -> the complex values of `exprs`, laid out in `shape`
+    at each point."""
+    fn = smp.lambdify(symbols, list(exprs), "numpy")
 
     def call(pts):
         pts = np.asarray(pts)
-        cols = [np.broadcast_to(f(pts[:, 0], pts[:, 1]), (len(pts),)) for f in fns]
-        return np.stack(cols, axis=1).astype(complex)
-
-    return call
-
-
-def _lambdify_scalar(expr):
-    f = smp.lambdify((_X, _Y), expr, "numpy")
-
-    def call(pts):
-        pts = np.asarray(pts)
-        return np.broadcast_to(f(pts[:, 0], pts[:, 1]), (len(pts),)).astype(complex)
+        cols = [np.broadcast_to(c, pts.shape[:1]) for c in fn(pts[:, 0], pts[:, 1])]
+        return np.stack(cols, axis=-1).astype(complex).reshape(pts.shape[:1] + shape)
 
     return call
 
@@ -52,45 +56,32 @@ class ManufacturedCase:
     phi: object  # (n,2) -> (n,)
     grad_u: object  # (n,2) -> (n,2,2), grad_u[:,a,b] = d u_a / d x_b
     f: object  # volume force
-    g: object | None = None  # (pts, face_id) -> (n,2), Neumann data
+    g: object  # (pts, face_id) -> (n,2), natural boundary data
 
 
-def _build_case(name, u_expr, phi_expr, lam, mu, polygon=None):
-    grad = [[smp.diff(u_expr[a], v) for v in (_X, _Y)] for a in range(2)]
+def _build_case(name, u_expr, phi_expr, lam, mu):
     lap = [smp.diff(u_expr[a], _X, 2) + smp.diff(u_expr[a], _Y, 2) for a in range(2)]
     f_expr = [
         lam * u_expr[a] - lap[a] + smp.diff(phi_expr, (_X, _Y)[a]) for a in range(2)
     ]
-    grad_fns = [[smp.lambdify((_X, _Y), grad[a][b], "numpy") for b in range(2)] for a in range(2)]
+    u, grad_u = field_callables(u_expr, (_X, _Y))
+    phi = _pointwise([phi_expr], (_X, _Y), ())
+    faces = unit_square().faces
 
-    def grad_u(pts):
-        pts = np.asarray(pts)
-        out = np.empty((len(pts), 2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                out[:, a, b] = np.broadcast_to(
-                    grad_fns[a][b](pts[:, 0], pts[:, 1]), (len(pts),)
-                )
-        return out
-
-    g = None
-    if polygon is not None:
-        phi_fn = _lambdify_scalar(phi_expr)
-
-        def g(pts, face_id):
-            n = polygon.faces[face_id].normal
-            G = grad_u(pts)
-            traction = G @ n + mu * np.einsum("nba,b->na", G, n)
-            return traction - phi_fn(pts)[:, None] * n
+    def g(pts, face_id):
+        n = faces[face_id].normal
+        G = grad_u(pts)
+        traction = G @ n + mu * np.einsum("nba,b->na", G, n)
+        return traction - phi(pts)[:, None] * n
 
     return ManufacturedCase(
         name=name,
         lam=complex(lam),
         mu=mu,
-        u=_lambdify_vec(u_expr),
-        phi=_lambdify_scalar(phi_expr),
+        u=u,
+        phi=phi,
         grad_u=grad_u,
-        f=_lambdify_vec(f_expr),
+        f=_pointwise(f_expr, (_X, _Y), (2,)),
         g=g,
     )
 
@@ -104,16 +95,12 @@ def dirichlet_square_case(lam=1 + 1j) -> ManufacturedCase:
     return _build_case("dirichlet_square", u, phi, lam, mu=0.0)
 
 
-def neumann_square_case(lam=1 + 1j, mu=0.3, polygon=None) -> ManufacturedCase:
+def neumann_square_case(mu=0.3) -> ManufacturedCase:
     """Divergence-free trigonometric field with nonzero natural boundary
-    data on the unit square."""
-    if polygon is None:
-        from .geometry import unit_square
-
-        polygon = unit_square()
+    data on the unit square, at lam = 1 + 1j."""
     u = [smp.sin(smp.pi * _Y), smp.sin(smp.pi * _X)]
     phi = smp.cos(smp.pi * _X) * smp.cos(smp.pi * _Y)
-    return _build_case("neumann_square", u, phi, lam, mu, polygon=polygon)
+    return _build_case("neumann_square", u, phi, 1 + 1j, mu)
 
 
 def l2_errors(space, sol, case: ManufacturedCase, gauge_pressure: bool):

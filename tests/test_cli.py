@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,8 +290,24 @@ def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
         {"lambda": {"rays": 5}},
         {"seed": [1]},
         {"mu": None},
+        {"level": 3.7},
+        {"level": True},
+        {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5.9}},
+        {"seed": 1.5},
+        {"mu": True},
+        {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5, "rays": [True]}},
+        {"experiment": None},
+        {"domain": 5},
+        {"bc": ["neumann"]},
+        {"out_dir": 1},
+        {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "cout": 5}},
     ],
-    ids=["dual-string", "lambda-number", "rays-number", "seed-list", "mu-null"],
+    ids=[
+        "dual-string", "lambda-number", "rays-number", "seed-list", "mu-null",
+        "level-fraction", "level-bool", "count-fraction", "seed-fraction",
+        "mu-bool", "ray-bool", "experiment-null", "domain-number", "bc-list",
+        "out_dir-number", "lambda-unknown-key",
+    ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, overrides):
     grid = {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}}
@@ -296,6 +315,28 @@ def test_malformed_config_value_is_config_error(tmp_path, overrides):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_config_values_accepted(tmp_path):
+    grid = {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5.0}}
+    cfg = load_config(write_cfg(tmp_path, level=2.0, seed=1.0, **grid), "sweep")
+    assert (cfg.level, cfg.seed, cfg.count) == (2, 1, 5)
+    assert all(isinstance(n, int) for n in (cfg.level, cfg.seed, cfg.count))
+
+
+def test_cli_import_loads_no_sympy():
+    # sympy takes about 0.5 s to import: only the subcommands that need it
+    # may load it, so importing the CLI must not
+    code = (
+        "import sys, srlab.cli; "
+        "print([m for m in ('sympy', 'srlab.manufactured') if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_check_grisvard_subcommand(tmp_path):
