@@ -134,6 +134,24 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
             raise ConfigError(f"{key!r} must be {kind.__name__}, not {got!r}")
         return kind(got)
 
+    def region(name, keys):
+        """Check extras[name], an object of `keys` (key -> default, None if
+        required): a center of two numbers and a positive last key."""
+        spec, size = extras[name], list(keys)[-1]
+        if not isinstance(spec, dict) or set(spec) - set(keys):
+            raise ConfigError(f"{name} must be an object with keys {sorted(keys)}")
+        center = value(spec, "center", tuple, keys["center"])
+        if len(center) != 2 or value(spec, size, float, keys[size]) <= 0:
+            raise ConfigError(f"{name} needs a center [x, y] and a positive {size}")
+
+    load = extras.get("load", "zero")
+    if isinstance(load, dict) and load.get("kind") == "bump":
+        region("load", {"kind": "bump", "center": [0.5, 0.5], "radius": 0.1})
+    elif load not in ("zero", "bubble_curl"):
+        raise ConfigError(f"unknown load spec {load!r}")
+    if "patch" in extras:
+        region("patch", {"center": None, "r": None})
+
     out_dir = value(raw, "out_dir", str, ".")
     cfg = ExperimentConfig(
         experiment_id=value(raw, "experiment", str, "run"),
@@ -169,6 +187,8 @@ def _validate(cfg: ExperimentConfig, subcommand: str):
         raise ConfigError("the equivalence check requires the no-slip condition")
     if subcommand in ("check-h2", "check-local") and cfg.bc_tag != "neumann":
         raise ConfigError(f"{subcommand} requires the natural boundary condition")
+    if subcommand == "check-local" and "patch" not in cfg.extras:
+        raise ConfigError("check-local needs patch: {center: [x, y], r: ...}")
     if not (0 < cfg.theta < np.pi):
         raise ConfigError("theta must lie in (0, pi)")
     for r in cfg.rays:
@@ -236,29 +256,24 @@ def _load_field(cfg: ExperimentConfig):
         from .experiments import _bubble_curl
 
         return VolumeF(_bubble_curl)
-    if isinstance(spec, dict) and spec.get("kind") == "bump":
-        center = np.asarray(spec.get("center", [0.5, 0.5]), dtype=float)
-        radius = float(spec.get("radius", 0.1))
-        if radius <= 0:
-            raise ConfigError("bump load radius must be positive")
+    # a bump, checked by load_config
+    center = np.asarray(spec.get("center", [0.5, 0.5]), dtype=float)
+    radius = float(spec.get("radius", 0.1))
 
-        def f(pts):
-            d2 = np.sum((pts - center) ** 2, axis=1) / radius**2
-            vals = np.zeros((len(pts), 2))
-            inside = d2 < 1.0
-            w = np.exp(-1.0 / (1.0 - d2[inside]))
-            vals[inside, 0] = w
-            vals[inside, 1] = -w
-            return vals
+    def f(pts):
+        d2 = np.sum((pts - center) ** 2, axis=1) / radius**2
+        vals = np.zeros((len(pts), 2))
+        inside = d2 < 1.0
+        w = np.exp(-1.0 / (1.0 - d2[inside]))
+        vals[inside, 0] = w
+        vals[inside, 1] = -w
+        return vals
 
-        return VolumeF(f)
-    raise ConfigError(f"unknown load spec {spec!r}")
+    return VolumeF(f)
 
 
 def _patch(cfg: ExperimentConfig) -> CubePatch:
-    spec = cfg.extras.get("patch")
-    if not isinstance(spec, dict) or "center" not in spec or "r" not in spec:
-        raise ConfigError("check-local needs patch: {center: [x, y], r: ...}")
+    spec = cfg.extras["patch"]  # checked by load_config
     return CubePatch(np.asarray(spec["center"], dtype=float), float(spec["r"]))
 
 

@@ -463,8 +463,8 @@ def check_h2_estimate(
 
 def _pointwise_triple(space, u, phi, a):
     """|lam||u| + sqrt|lam|(|grad u| + |phi|) at quadrature points."""
-    vals, grads, wts = space.velocity_at_quad(u, degree=8)
-    pvals, _, _ = space.pressure_at_quad(phi, degree=8)
+    vals, grads, wts = space.velocity_at_quad(u)
+    pvals, _, _ = space.pressure_at_quad(phi)
     g = (
         a * np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1))
         + np.sqrt(a) * np.sqrt(np.sum(np.abs(grads) ** 2, axis=(-2, -1)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import TriMesh
+from .geometry import TriMesh, edge_keys
 from .quadrature import segment_rule, triangle_rule
 
 __all__ = [
@@ -120,34 +120,16 @@ class TaylorHoodSpace:
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         nv = mesh.n_nodes
-        edge_set = set()
-        for i, j, k in mesh.triangles:
-            for a, b in ((i, j), (j, k), (k, i)):
-                edge_set.add((min(a, b), max(a, b)))
-        edges = sorted(edge_set)
-        edge_id = {e: idx for idx, e in enumerate(edges)}
-        self.edges = np.asarray(edges, dtype=int)
+        keys, bkeys = edge_keys(mesh)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        self.edges = np.column_stack(np.divmod(uniq, nv))
         self.n_vertices = nv
-        self.n_edges = len(edges)
+        self.n_edges = len(uniq)
         self.n_pres = nv
         self.n_p2 = nv + self.n_edges
         self.n_vel = 2 * self.n_p2
-        mids = 0.5 * (mesh.nodes[self.edges[:, 0]] + mesh.nodes[self.edges[:, 1]])
-        self.p2_coords = np.vstack([mesh.nodes, mids])
-        cells = []
-        for i, j, k in mesh.triangles:
-            cells.append(
-                [
-                    i,
-                    j,
-                    k,
-                    nv + edge_id[(min(i, j), max(i, j))],
-                    nv + edge_id[(min(j, k), max(j, k))],
-                    nv + edge_id[(min(k, i), max(k, i))],
-                ]
-            )
-        self.cells6 = np.asarray(cells, dtype=int)
-        self._edge_id = edge_id
+        self.p2_coords = np.vstack([mesh.nodes, 0.5 * mesh.nodes[self.edges].sum(axis=1)])
+        self.cells6 = np.hstack([mesh.triangles, nv + inverse.reshape(-1, 3)])
 
         # Element geometry: affine maps x = a + J xi.
         corners = mesh.triangle_corners()
@@ -166,17 +148,13 @@ class TaylorHoodSpace:
         self._corner0 = corners[:, 0]
         self._J = J
 
-        # Boundary bookkeeping.
-        from collections import defaultdict
-
-        node_faces: dict[int, set] = defaultdict(set)
-        for a, b, fid in mesh.boundary_edges:
-            m = nv + edge_id[(min(a, b), max(a, b))]
-            node_faces[int(a)].add(int(fid))
-            node_faces[int(b)].add(int(fid))
-            node_faces[m].add(int(fid))
-        self.node_faces = {n: tuple(sorted(f)) for n, f in node_faces.items()}
-        self.boundary_nodes = np.array(sorted(node_faces), dtype=int)
+        # Boundary table: the P2 midpoint node of each boundary edge, and
+        # the sorted (P2 node, face id) pairs of the boundary's nodes.
+        self.boundary_mids = nv + np.searchsorted(uniq, bkeys)
+        a, b, fid = mesh.boundary_edges.T
+        pairs = np.stack([a, fid, b, fid, self.boundary_mids, fid], axis=1)
+        self.boundary_node_faces = np.unique(pairs.reshape(-1, 2), axis=0)
+        self.boundary_nodes = np.unique(self.boundary_node_faces[:, 0])
         self.boundary_vel_dofs = np.sort(
             np.concatenate([2 * self.boundary_nodes, 2 * self.boundary_nodes + 1])
         )
@@ -196,7 +174,7 @@ class TaylorHoodSpace:
 
     def node_normal(self, node: int) -> np.ndarray:
         """Outward normal at a boundary P2 node; corners use the bisector."""
-        faces = self.node_faces[node]
+        faces = self.boundary_node_faces[self.boundary_node_faces[:, 0] == node, 1]
         n = sum(self.mesh.polygon.faces[f].normal for f in faces)
         return n / np.linalg.norm(n)
 
@@ -221,20 +199,20 @@ class TaylorHoodSpace:
                 self._quad_cache[degree] = (phys, wts, p2v, g2, p1v, g1)
             return self._quad_cache[degree]
 
-    def velocity_at_quad(self, coeffs, degree: int = 8):
-        """Values (ne,nq,2) and gradients (ne,nq,2,2) of a velocity field.
+    def velocity_at_quad(self, coeffs):
+        """Values (ne,nq,2) and gradients (ne,nq,2,2) at the degree-8 points.
 
         Gradient convention: grad[..., a, b] = d u_a / d x_b.
         """
-        phys, wts, p2v, g2, _, _ = self.quad_data(degree)
+        phys, wts, p2v, g2, _, _ = self.quad_data(8)
         x = np.asarray(coeffs).reshape(self.n_p2, 2)
         xe = x[self.cells6]  # (ne, 6, 2)
         vals = np.einsum("qn,ena->eqa", p2v, xe)
         grads = np.einsum("eqnb,ena->eqab", g2, xe)
         return vals, grads, wts
 
-    def pressure_at_quad(self, coeffs, degree: int = 8):
-        phys, wts, _, _, p1v, g1 = self.quad_data(degree)
+    def pressure_at_quad(self, coeffs):
+        phys, wts, _, _, p1v, g1 = self.quad_data(8)
         xe = np.asarray(coeffs)[self.mesh.triangles]  # (ne, 3)
         vals = np.einsum("qn,en->eq", p1v, xe)
         grads = np.einsum("enb,en->eb", g1, xe)
@@ -411,11 +389,9 @@ def load_vector(space: TaylorHoodSpace, rhs, bc: BoundaryCondition | None = None
             raise ValueError("boundary data cannot be combined with a Dirichlet condition")
         s, w = segment_rule(6)
         trace = _p2_edge_trace(s)  # (nq, 3)
-        nv = space.n_vertices
         dofs, loc = [], []
-        for a, b, fid in space.mesh.boundary_edges:
+        for (a, b, fid), mid in zip(space.mesh.boundary_edges, space.boundary_mids):
             a, b, fid = int(a), int(b), int(fid)
-            mid = nv + space._edge_id[(min(a, b), max(a, b))]
             pa, pb = space.mesh.nodes[a], space.mesh.nodes[b]
             pts = pa + np.multiply.outer(s, pb - pa)
             length = np.linalg.norm(pb - pa)

@@ -19,6 +19,7 @@ __all__ = [
     "CubeCover",
     "triangulate",
     "refine_uniform",
+    "edge_keys",
     "unit_square",
     "regular_ngon",
     "write_tmesh2d",
@@ -138,27 +139,36 @@ class TriMesh:
         return float(np.sqrt((e**2).sum(axis=-1).max()))
 
     def validate(self):
-        """Raise AssertionError on a broken mesh (conformity, areas, tags)."""
-        areas = self.areas()
-        assert np.all(areas > 0), "negative or zero triangle area"
-        total = areas.sum()
-        assert abs(total - self.polygon.area()) <= 1e-12 * self.polygon.area()
-        edge_count: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        assert max(edge_count.values()) <= 2, "non-conforming edge"
-        boundary = {k for k, v in edge_count.items() if v == 1}
-        tagged = {(min(a, b), max(a, b)) for a, b, _ in self.boundary_edges}
-        assert boundary == tagged, "boundary edge tags do not match mesh boundary"
-        scale = max(1.0, self.polygon.diameter())
-        for a, b, fid in self.boundary_edges:
-            f = self.polygon.faces[fid]
-            for p in (self.nodes[a], self.nodes[b]):
-                assert abs((p - f.start) @ f.normal) <= 1e-12 * scale, (
-                    "boundary node off its parent face"
-                )
+        """Raise ValueError on a broken mesh: a clockwise or degenerate
+        triangle, an edge (see edge_keys) on more than two triangles,
+        boundary tags that differ from the edges on one triangle, triangles
+        that do not tile the polygon, or a tagged edge off its face."""
+        areas, area = self.areas(), self.polygon.area()
+        keys, bkeys = edge_keys(self)
+        keys, count = np.unique(keys, return_counts=True)
+        faces = self.polygon.faces
+        off = [(self.nodes[[a, b]] - faces[f].start) @ faces[f].normal
+               for a, b, f in self.boundary_edges]
+        for ok, what in (
+            (np.all(areas > 0), "a triangle is clockwise or degenerate"),
+            (count.max() <= 2, "an edge lies on more than two triangles"),
+            (np.array_equal(keys[count == 1], np.unique(bkeys)),
+             "boundary edge tags do not match the mesh boundary"),
+            (abs(areas.sum() - area) <= 1e-12 * area, "triangles do not tile the polygon"),
+            (np.all(np.abs(off) <= 1e-12 * max(1.0, self.polygon.diameter())),
+             "a boundary node lies off its face"),
+        ):
+            if not ok:
+                raise ValueError(f"invalid mesh: {what}")
+
+
+def edge_keys(mesh: TriMesh):
+    """The mesh's edge table: keys min * n_nodes + max of node pairs, an
+    (n_tris, 3) array for the sides (i, j), (j, k), (k, i) of each
+    triangle and an (n_bedges,) array for the rows of boundary_edges."""
+    t, be = mesh.triangles, mesh.boundary_edges
+    pairs = ((t, np.roll(t, -1, axis=1)), (be[:, 0], be[:, 1]))
+    return tuple(np.minimum(a, b) * mesh.n_nodes + np.maximum(a, b) for a, b in pairs)
 
 
 def triangulate(polygon: ConvexPolygon, target_h: float) -> TriMesh:
@@ -183,32 +193,21 @@ def triangulate(polygon: ConvexPolygon, target_h: float) -> TriMesh:
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Red refinement: each triangle splits into 4 congruent children."""
-    nodes = list(map(tuple, mesh.nodes))
-    nv = len(nodes)
-    midpoint_id: dict[tuple[int, int], int] = {}
-
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in midpoint_id:
-            midpoint_id[key] = nv + len(midpoint_id)
-            nodes.append(tuple(0.5 * (mesh.nodes[a] + mesh.nodes[b])))
-        return midpoint_id[key]
-
-    tris = []
-    for i, j, k in mesh.triangles:
-        mij, mjk, mki = mid(i, j), mid(j, k), mid(k, i)
-        tris += [[i, mij, mki], [mij, j, mjk], [mki, mjk, k], [mij, mjk, mki]]
-    bedges = []
-    for a, b, fid in mesh.boundary_edges:
-        m = mid(int(a), int(b))
-        bedges += [(int(a), m, int(fid)), (m, int(b), int(fid))]
-    return TriMesh(
-        mesh.polygon,
-        np.asarray(nodes, dtype=float),
-        np.asarray(tris, dtype=int),
-        np.asarray(bedges, dtype=int),
-    )
+    """Red refinement: each triangle splits into 4 congruent children.
+    Edge midpoints are numbered after the vertices, in the order their
+    edges first appear in the triangles' sides."""
+    nv = mesh.n_nodes
+    keys, bkeys = edge_keys(mesh)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # sorted position -> midpoint number
+    lo, hi = np.divmod(keys.ravel()[np.sort(first)], nv)
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
+    (i, j, k), (mij, mjk, mki) = mesh.triangles.T, nv + rank[inverse].reshape(-1, 3).T
+    tris = np.stack([i, mij, mki, mij, j, mjk, mki, mjk, k, mij, mjk, mki], axis=1)
+    a, b, fid = mesh.boundary_edges.T
+    m = nv + rank[np.searchsorted(uniq, bkeys)]
+    bedges = np.stack([a, m, fid, m, b, fid], axis=1)
+    return TriMesh(mesh.polygon, nodes, tris.reshape(-1, 3), bedges.reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -320,8 +319,9 @@ def write_tmesh2d(mesh: TriMesh, path, comment: str = ""):
 
 
 def read_tmesh2d(path) -> TriMesh:
-    """Read a `tmesh2d v1` file. The polygon is always rebuilt from the
-    face tags of the boundary edges (requires the boundary to be convex)."""
+    """Read and validate a `tmesh2d v1` file. The polygon is always rebuilt
+    from the face tags of the boundary edges (requires the boundary to be
+    convex); a mesh that fails TriMesh.validate raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip()
         while header.startswith("#"):
@@ -332,7 +332,9 @@ def read_tmesh2d(path) -> TriMesh:
         nodes = np.array([list(map(float, fh.readline().split())) for _ in range(nn)])
         tris = np.array([list(map(int, fh.readline().split())) for _ in range(nt)])
         bedges = np.array([list(map(int, fh.readline().split())) for _ in range(nb)])
-    return TriMesh(_polygon_from_boundary(nodes, bedges), nodes, tris, bedges)
+    mesh = TriMesh(_polygon_from_boundary(nodes, bedges), nodes, tris, bedges)
+    mesh.validate()
+    return mesh
 
 
 def _polygon_from_boundary(nodes, bedges) -> ConvexPolygon:

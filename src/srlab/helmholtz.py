@@ -61,8 +61,8 @@ def constraint_matrix(system: AssembledSystem, flavor: str):
     """Sparse constraint rows whose null space is the requested subspace.
 
     "calL2_sigma": the divergence rows B. "L2_sigma": B plus one
-    normal-trace row per (boundary node, incident face) pair, so corner
-    nodes contribute one row for each of their two faces. "neumann" (P):
+    normal-trace row per (P2 node, face) pair of space.boundary_node_faces,
+    so corner nodes contribute one row for each of their two faces. "neumann" (P):
     C^T, the gradients of all P1 potentials. "dirichlet" (Q): the
     gradients of the zero-trace potentials.
     """
@@ -76,18 +76,12 @@ def constraint_matrix(system: AssembledSystem, flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}")
     blocks = [system.B.tocsr()]
     if flavor == "L2_sigma":
-        rows, cols, vals = [], [], []
-        k = 0
-        for node in space.boundary_nodes:
-            for fid in space.node_faces[int(node)]:
-                n = space.mesh.polygon.faces[fid].normal
-                rows.extend([k, k])
-                cols.extend([2 * int(node), 2 * int(node) + 1])
-                vals.extend([n[0], n[1]])
-                k += 1
-        blocks.append(
-            sp.csr_matrix((vals, (rows, cols)), shape=(k, space.n_vel))
-        )
+        nodes, fids = space.boundary_node_faces.T
+        normals = np.array([f.normal for f in space.mesh.polygon.faces])[fids]
+        cols = (2 * nodes[:, None] + np.arange(2)).ravel()
+        indptr = np.arange(0, len(cols) + 1, 2)
+        shape = (len(nodes), space.n_vel)
+        blocks.append(sp.csr_matrix((normals.ravel(), cols, indptr), shape=shape))
     return sp.vstack(blocks, format="csr")
 
 

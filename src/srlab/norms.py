@@ -68,14 +68,14 @@ def lp_norm(space: TaylorHoodSpace, coeffs, p: float, region=None, kind="velocit
     if not (1.0 <= p <= 64.0):
         raise ValueError("p must lie in [1, 64]")
     if kind in ("velocity", "velocity_gradient"):
-        vals, grads, wts = space.velocity_at_quad(coeffs, degree=8)
+        vals, grads, wts = space.velocity_at_quad(coeffs)
         mag2 = (
             np.sum(np.abs(vals) ** 2, axis=-1)
             if kind == "velocity"
             else np.sum(np.abs(grads) ** 2, axis=(-2, -1))
         )
     elif kind in ("pressure", "pressure_gradient"):
-        vals, grads, wts = space.pressure_at_quad(coeffs, degree=8)
+        vals, grads, wts = space.pressure_at_quad(coeffs)
         if kind == "pressure":
             mag2 = np.abs(vals) ** 2
         else:

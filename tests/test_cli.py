@@ -15,7 +15,7 @@ from srlab.cli import (
     load_config,
     main,
 )
-from srlab.geometry import read_tmesh2d
+from srlab.geometry import read_tmesh2d, write_tmesh2d
 from srlab.helmholtz import DENSE_BASIS_LIMIT
 
 
@@ -301,12 +301,29 @@ def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
         {"bc": ["neumann"]},
         {"out_dir": 1},
         {"lambda": {"log10_min": 0.0, "log10_max": 2.0, "cout": 5}},
+        {"load": {"kind": "bump", "radius": True, "colour": 1}},
+        {"load": {"kind": "bump", "radius": True}},
+        {"load": {"kind": "bump", "center": [0.9, 0.9], "radius": 0.05, "colour": 1}},
+        {"load": {"kind": "bump", "radius": -0.1}},
+        {"load": {"kind": "bump", "center": [0.5]}},
+        {"load": {"kind": "ring"}},
+        {"load": "bubble"},
+        {"patch": {"center": [0.2, 0.2], "r": True}},
+        {"patch": {"center": [0.2, 0.2, 7], "r": 0.1, "x": 1}},
+        {"patch": {"center": [0.2, 0.2, 7], "r": 0.1}},
+        {"patch": {"center": [0.2, 0.2], "r": 0.1, "x": 1}},
+        {"patch": {"center": [0.2, 0.2]}},
+        {"patch": [0.2, 0.2, 0.1]},
     ],
     ids=[
         "dual-string", "lambda-number", "rays-number", "seed-list", "mu-null",
         "level-fraction", "level-bool", "count-fraction", "seed-fraction",
         "mu-bool", "ray-bool", "experiment-null", "domain-number", "bc-list",
-        "out_dir-number", "lambda-unknown-key",
+        "out_dir-number", "lambda-unknown-key", "load-bool-and-unknown-key",
+        "load-radius-bool", "load-unknown-key", "load-radius-negative",
+        "load-center-short", "load-unknown-kind", "load-unknown-name",
+        "patch-r-bool", "patch-3d-and-unknown-key", "patch-center-3d",
+        "patch-unknown-key", "patch-no-r", "patch-list",
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, overrides):
@@ -315,6 +332,18 @@ def test_malformed_config_value_is_config_error(tmp_path, overrides):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("defect", ["flipped", "untagged"])
+def test_broken_mesh_file_is_config_error(tmp_path, broken_mesh, defect):
+    # unchecked, the flipped mesh solves without error to a wrong u_l2
+    # (5.284e-4 against 5.415e-4 for the intact mesh at lambda = 1)
+    path = tmp_path / "broken.tmesh2d"
+    write_tmesh2d(broken_mesh(defect), path)
+    cfg = write_cfg(tmp_path, domain=str(path), bc="neumann", load="bubble_curl")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_integral_float_config_values_accepted(tmp_path):

@@ -17,7 +17,7 @@ from srlab.fem import (
     build_system,
     load_vector,
 )
-from srlab.geometry import refine_uniform, triangulate, unit_square
+from srlab.geometry import refine_uniform, regular_ngon, triangulate, unit_square
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,63 @@ def test_dof_counts(coarse_space, fine_space):
     assert fine_space.n_edges == 16
     assert fine_space.n_vel == 50
     assert fine_space.n_pres == 9
+
+
+def test_numbering_pinned(fine_space):
+    # the artifacts are byte-identical only while this numbering holds:
+    # refinement numbers midpoints by first appearance, the space numbers
+    # its edges by sorted endpoints
+    mesh = fine_space.mesh
+    assert np.array_equal(
+        mesh.nodes,
+        [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 0.5]],
+    )
+    assert mesh.triangles.tolist() == [
+        [0, 4, 6], [4, 1, 5], [6, 5, 2], [4, 5, 6],
+        [0, 6, 8], [6, 2, 7], [8, 7, 3], [6, 7, 8],
+    ]
+    assert mesh.boundary_edges.tolist() == [
+        [0, 4, 0], [4, 1, 0], [1, 5, 1], [5, 2, 1],
+        [2, 7, 2], [7, 3, 2], [3, 8, 3], [8, 0, 3],
+    ]
+    assert fine_space.edges.tolist() == [
+        [0, 4], [0, 6], [0, 8], [1, 4], [1, 5], [2, 5], [2, 6], [2, 7],
+        [3, 7], [3, 8], [4, 5], [4, 6], [5, 6], [6, 7], [6, 8], [7, 8],
+    ]
+    assert fine_space.cells6.tolist() == [
+        [0, 4, 6, 9, 20, 10], [4, 1, 5, 12, 13, 19], [6, 5, 2, 21, 14, 15],
+        [4, 5, 6, 19, 21, 20], [0, 6, 8, 10, 23, 11], [6, 2, 7, 15, 16, 22],
+        [8, 7, 3, 24, 17, 18], [6, 7, 8, 22, 24, 23],
+    ]
+    assert fine_space.boundary_mids.tolist() == [9, 12, 13, 14, 16, 17, 18, 11]
+    # corner 0 lies on faces 0 and 3, the midpoint node 9 of edge (0, 4) on face 0
+    table = fine_space.boundary_node_faces
+    assert table[table[:, 0] == 0].tolist() == [[0, 0], [0, 3]]
+    assert table[table[:, 0] == 9].tolist() == [[9, 0]]
+    assert len(table) == 20 and np.array_equal(fine_space.boundary_nodes, np.unique(table[:, 0]))
+
+
+def test_space_tables_match_loop_reference():
+    # sorted-set edge numbering and per-triangle lookups, as loops
+    mesh = triangulate(regular_ngon(7), 0.6)
+    space = build_space(mesh)
+    nv = mesh.n_nodes
+
+    def key(a, b):
+        return (min(int(a), int(b)), max(int(a), int(b)))
+
+    sides = [[key(a, b) for a, b in zip(t, np.roll(t, -1))] for t in mesh.triangles]
+    edges = sorted({e for tri in sides for e in tri})
+    node = {e: nv + n for n, e in enumerate(edges)}
+    assert space.edges.tolist() == [list(e) for e in edges]
+    assert space.cells6.tolist() == [
+        [*map(int, t), *(node[e] for e in tri)] for t, tri in zip(mesh.triangles, sides)
+    ]
+    pairs = set()
+    for a, b, fid in mesh.boundary_edges.tolist():
+        pairs |= {(a, fid), (b, fid), (node[key(a, b)], fid)}
+    assert space.boundary_node_faces.tolist() == sorted(map(list, pairs))
+    assert space.boundary_mids.tolist() == [node[key(a, b)] for a, b, _ in mesh.boundary_edges]
 
 
 def test_boundary_normals(fine_space):

@@ -51,6 +51,42 @@ def test_refine_counts_and_h():
     fine.validate()
 
 
+def _refine_by_dict(mesh):
+    """Red refinement through a midpoint dict, numbering each midpoint when
+    its edge first appears: the reference for refine_uniform."""
+    nodes, tris, bedges, mid_id = list(mesh.nodes), [], [], {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid_id:
+            mid_id[key] = len(nodes)
+            nodes.append(0.5 * (mesh.nodes[a] + mesh.nodes[b]))
+        return mid_id[key]
+
+    for i, j, k in mesh.triangles:
+        mij, mjk, mki = mid(i, j), mid(j, k), mid(k, i)
+        tris += [[i, mij, mki], [mij, j, mjk], [mki, mjk, k], [mij, mjk, mki]]
+    for a, b, fid in mesh.boundary_edges:
+        m = mid(a, b)
+        bedges += [[a, m, fid], [m, b, fid]]
+    return np.array(nodes), np.array(tris), np.array(bedges)
+
+
+@pytest.mark.parametrize(
+    "polygon",
+    [unit_square(), regular_ngon(7), ConvexPolygon([(0, 0), (1.3, 0.1), (0.4, 0.9)])],
+    ids=["square", "7-gon", "scalene"],
+)
+def test_refine_matches_dict_reference(polygon):
+    mesh = triangulate(polygon, 1e9)
+    for _ in range(3):
+        want = _refine_by_dict(mesh)
+        mesh = refine_uniform(mesh)
+        got = (mesh.nodes, mesh.triangles, mesh.boundary_edges)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_triangulate_hits_target_h():
     mesh = triangulate(unit_square(), 0.2)
     assert mesh.h <= 0.2
@@ -144,4 +180,25 @@ def test_tmesh2d_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nope\n")
     with pytest.raises(ValueError):
+        read_tmesh2d(path)
+
+
+BROKEN = [
+    ("flipped", "clockwise"),
+    ("untagged", "boundary edge tags"),
+    ("three_triangles", "more than two triangles"),
+]
+
+
+@pytest.mark.parametrize("kind, message", BROKEN, ids=[k for k, _ in BROKEN])
+def test_validate_rejects_broken_mesh(broken_mesh, kind, message):
+    with pytest.raises(ValueError, match=message):
+        broken_mesh(kind).validate()
+
+
+@pytest.mark.parametrize("kind, message", BROKEN, ids=[k for k, _ in BROKEN])
+def test_read_tmesh2d_validates(tmp_path, broken_mesh, kind, message):
+    path = tmp_path / "broken.tmesh2d"
+    write_tmesh2d(broken_mesh(kind), path)
+    with pytest.raises(ValueError, match=message):
         read_tmesh2d(path)
