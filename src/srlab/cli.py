@@ -26,6 +26,7 @@ from .experiments import (
     check_grisvard,
     check_h2_estimate,
     check_lemma_equivalence,
+    check_load_clears_patch,
     check_localized,
     input_space,
     sweep_pressure_decay,
@@ -438,10 +439,12 @@ def cmd_check_h2(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 
 
 def cmd_check_local(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
-    mesh = build_mesh(cfg)
-    system = build_system(build_space(mesh), mu=cfg.mu)
+    space = build_space(build_mesh(cfg))
     patch = _patch(cfg)
     load = _load_field(cfg)
+    # a config error, caught before the assembly it would waste
+    check_load_clears_patch(space, patch, load)
+    system = build_system(space, mu=cfg.mu)
     for a in cfg.lambda_grid():
         lam = SectorSample(float(a) * np.exp(1j * cfg.rays[0]), cfg.theta)
         reports = check_localized(system, lam, patch, load)

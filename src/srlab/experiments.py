@@ -59,6 +59,7 @@ __all__ = [
     "check_uniform_resolvent",
     "check_grisvard",
     "check_h2_estimate",
+    "check_load_clears_patch",
     "check_localized",
     "check_lemma_equivalence",
     "write_artifact",
@@ -473,6 +474,18 @@ def _pointwise_triple(space, u, phi, a):
     return g, wts
 
 
+def check_load_clears_patch(space, patch: CubePatch, f: VolumeF) -> None:
+    """Raise ValueError when an element where the load is nonzero at a
+    quadrature point has its centroid in the 8-dilated patch. It reads
+    only the space, so a caller can run it before assembly."""
+    phys = space.quad_data(8)[0]
+    fv = np.asarray(f.f(phys.reshape(-1, 2))).reshape(phys.shape[:2] + (2,))
+    support = np.flatnonzero(np.max(np.abs(fv), axis=(1, 2)) > 0)
+    dilated = np.flatnonzero(patch.contains(space.mesh.centroids(), 8.0))
+    if np.intersect1d(support, dilated).size:
+        raise ValueError("load support overlaps the 8-dilated patch")
+
+
 def check_localized(
     system: AssembledSystem,
     lam: SectorSample,
@@ -483,16 +496,11 @@ def check_localized(
     support of the load.
 
     Requires the load's support elements to be disjoint from the
-    8-dilated patch so the equation is homogeneous near the patch."""
+    8-dilated patch (check_load_clears_patch) so the equation is
+    homogeneous near the patch."""
     space = system.space
     bc = BoundaryCondition("neumann", system.mu)
-    phys, wts, _, _, _, _ = space.quad_data(8)
-    fv = np.asarray(f.f(phys.reshape(-1, 2))).reshape(phys.shape[:2] + (2,))
-    support = np.flatnonzero(np.max(np.abs(fv), axis=(1, 2)) > 0)
-    dilated = np.flatnonzero(patch.contains(space.mesh.centroids(), 8.0))
-    if np.intersect1d(support, dilated).size:
-        raise ValueError("load support overlaps the 8-dilated patch")
-
+    check_load_clears_patch(space, patch, f)
     op = ResolventOperator(system, bc, lam)
     u, phi = op.solve(load_vector(space, f, bc))
     cover = cube_polygon_cover(space.mesh, patch)

@@ -10,8 +10,11 @@ augmented solve
 whose velocity block x is the projected field. The scale s leaves x
 alone and balances the O(h^2) mass entries against the O(h) constraint
 entries, so SuperLU's threshold pivoting keeps its diagonal pivots
-instead of swapping rows, and the factor fills 32-40% less on levels
-3-6. The solenoidal flavors constrain the divergence (and the normal
+instead of swapping rows. That makes the symmetric-mode factor of
+solver.symmetric_lu safe: on levels 3-6 it fills 49-71% less than the
+default COLAMD factor of the unscaled system (the balancing alone gives
+32-40%; level 6's P factor holds 6.6M entries, not 12.8M). The
+solenoidal flavors constrain the divergence (and the normal
 trace); the Helmholtz flavors P and Q constrain the gradients of the
 linear nodal potentials, A = C^T, so that x = f + M_v^{-1} C chi with
 the scalar potential chi = -y / s. L2 operator norms use the projector
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401 (tests patch splu through it)
 
 from .fem import AssembledSystem
-from .solver import NumericalError, split_complex
+from .solver import NumericalError, split_complex, symmetric_lu
 
 __all__ = [
     "SolenoidalBasis",
@@ -112,7 +115,7 @@ class ImplicitSolenoidalProjector:
         K = sp.bmat([[self._s * system.M_v, A.T], [A, None]], format="csc")
         # the saddle matrix is real; factoring in real arithmetic halves
         # the memory and real/imag parts are solved separately
-        self._lu_solve = split_complex(spla.splu(K).solve)
+        self._lu_solve = split_complex(symmetric_lu(K).solve)
         self._n_vel = system.space.n_vel
         self._m = A.shape[0]
 

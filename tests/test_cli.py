@@ -397,6 +397,26 @@ def test_check_local_subcommand(tmp_path):
     assert ids == ["caccioppoli", "local_h2", "reverse_holder"]
 
 
+def test_check_local_overlap_is_config_error_before_assembly(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
+    cfg = write_cfg(
+        tmp_path,
+        bc="neumann",
+        level=3,
+        **{
+            "lambda": {"log10_min": 1.0, "log10_max": 1.0, "count": 1},
+            "patch": {"center": [0.2, 0.2], "r": 0.1},
+            "load": {"kind": "bump", "center": [0.3, 0.3], "radius": 0.2},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["check-local", "--config", cfg, "--out", str(out)]) == 2
+    assert built == []
+    assert not out.exists() or not list(out.iterdir())
+    assert "overlaps the 8-dilated patch" in capsys.readouterr().err
+
+
 def test_check_local_requires_patch(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from srlab import helmholtz
-from srlab.fem import build_space, build_system, BoundaryCondition
+from srlab.fem import BoundaryCondition, assemble_gram, build_space, build_system
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
     HelmholtzProjector,
@@ -12,7 +12,7 @@ from srlab.helmholtz import (
     constraint_matrix,
     solenoidal_basis,
 )
-from srlab.solver import SectorSample, solve_resolvent
+from srlab.solver import SectorSample, solve_resolvent, symmetric_lu
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +41,35 @@ def bubble_field(space):
     return c
 
 
-@pytest.mark.parametrize("flavor", ["neumann", "dirichlet", "L2_sigma", "calL2_sigma"])
-def test_idempotence(sys3, flavor):
-    f = random_field(sys3)
-    proj = ImplicitSolenoidalProjector(sys3, flavor)
+FLAVORS = ("neumann", "dirichlet", "L2_sigma", "calL2_sigma")
+
+
+def assert_idempotent(system, flavor):
+    f = random_field(system)
+    proj = ImplicitSolenoidalProjector(system, flavor)
     pf = proj.project(f)
-    assert m_norm(sys3, proj.project(pf) - pf) <= 1e-9 * m_norm(sys3, f)
+    assert m_norm(system, proj.project(pf) - pf) <= 1e-10 * m_norm(system, f)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_idempotence(sys3, flavor):
+    assert_idempotent(sys3, flavor)
 
 
 @pytest.fixture(scope="module")
 def sys4():
     return build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 16)))
+
+
+@pytest.fixture(scope="module")
+def sys5():
+    return build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 32)))
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_idempotence_on_finer_meshes(request, level, flavor):
+    assert_idempotent(request.getfixturevalue(f"sys{level}"), flavor)
 
 
 def lu_fill(lu):
@@ -77,6 +95,29 @@ def test_balanced_factor_fills_less(sys4, flavor, monkeypatch):
     ImplicitSolenoidalProjector(sys4, flavor)
     assert len(fills) == 1
     assert fills[0] <= 0.7 * unscaled
+
+
+@pytest.mark.parametrize("level, bound", [(4, 0.75), (5, 0.6)])
+@pytest.mark.parametrize("kind", FLAVORS + ("M_v", "H1_zero", "H1_full"))
+def test_symmetric_factor_fills_less_than_colamd(request, level, bound, kind, monkeypatch):
+    system = request.getfixturevalue(f"sys{level}")
+    if kind in FLAVORS:
+        # the projector's own augmented matrix and factor
+        factored = []
+        splu = spla.splu
+
+        def captured(K, *args, **kwargs):
+            factored.append((K, splu(K, *args, **kwargs)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(spla, "splu", captured)
+        ImplicitSolenoidalProjector(system, kind)
+        monkeypatch.setattr(spla, "splu", splu)
+        [(K, lu)] = factored
+    else:
+        K = (system.M_v if kind == "M_v" else assemble_gram(system.space, kind)).tocsc()
+        lu = symmetric_lu(K)
+    assert lu_fill(lu) <= bound * lu_fill(spla.splu(K))
 
 
 def test_project_q_constant(sys3):

@@ -316,17 +316,17 @@ def test_dual_solver_factors_once_across_threads(monkeypatch):
     # threads than cores, released together
     system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
     calls = []
-    factorized = spla.factorized
+    symmetric_lu = norms.symmetric_lu
     n_threads = 4
     all_waiting = threading.Barrier(n_threads, timeout=10)
 
-    def slow_factorized(A):
+    def slow_lu(K):
         calls.append(1)
         # hold the window in which the other thread could start a second factor
         threading.Event().wait(0.2)
-        return factorized(A)
+        return symmetric_lu(K)
 
-    monkeypatch.setattr(spla, "factorized", slow_factorized)
+    monkeypatch.setattr(norms, "symmetric_lu", slow_lu)
     solvers = []
 
     def work():
@@ -365,7 +365,7 @@ def test_h1_grams_are_assembled_only_for_a_dual_norm(monkeypatch):
     assert kinds[2:] == ["H1_full", "H1_zero"]
 
 
-def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
+def test_implicit_sweep_factors_no_mass_matrix(monkeypatch):
     from scipy.sparse.linalg._eigen.arpack import arpack
 
     from srlab.experiments import default_lambda_grid, sweep_pressure_decay
@@ -375,18 +375,18 @@ def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
     proj = ImplicitSolenoidalProjector(system, "calL2_sigma")
     eigsh_lus, factored = [], []
     init = arpack.SpLuInv.__init__
-    factorized = spla.factorized
+    splu = spla.splu
 
     def counted_init(self, M):
         eigsh_lus.append(1)
         init(self, M)
 
-    def counted_factorized(A):
-        factored.append(A.shape)
-        return factorized(A)
+    def counted_splu(K, *args, **kwargs):
+        factored.append(K.shape)
+        return splu(K, *args, **kwargs)
 
     monkeypatch.setattr(arpack.SpLuInv, "__init__", counted_init)
-    monkeypatch.setattr(spla, "factorized", counted_factorized)
+    monkeypatch.setattr(spla, "splu", counted_splu)
     record, _ = sweep_pressure_decay(
         system,
         BoundaryCondition("neumann"),
@@ -394,8 +394,34 @@ def test_implicit_sweep_reuses_one_mass_factor(monkeypatch):
         basis=proj,
     )
     assert len(record.samples) == 5 and all(s["C_pressure"] > 0 for s in record.samples)
+    # ARPACK mode 2 only applies Minv to matvec outputs, whose y is at hand
     assert eigsh_lus == []
-    assert factored == [system.M_v.shape]
+    # one resolvent saddle per lambda and no mass matrix
+    assert len(factored) == 5 and system.M_v.shape not in factored
+    assert "L2" not in system.space._gram_cache
+
+
+@pytest.mark.parametrize("lam", [5.0, 3.0 + 4.0j], ids=["real", "complex"])
+def test_mass_inverse_solves_any_other_load(sys3, lam):
+    proj = ImplicitSolenoidalProjector(sys3, "L2_sigma")
+    spec = OperatorSpec("phi", BoundaryCondition("neumann"), SectorSample(lam))
+    matvec, n, M, Minv = norms._normal_operator(spec, proj, sys3)
+    rng = np.random.default_rng(4)
+
+    def field():
+        v = rng.standard_normal(n)
+        return v + 1j * rng.standard_normal(n) if np.iscomplexobj(lam) else v
+
+    stale = matvec(field()).copy()
+    out = matvec(field())
+    y = Minv.matvec(out.copy())
+    # an earlier matvec's output, a vector no matvec returned and one 1e-9
+    # off the last output: all three are solved
+    for b in (stale, field(), out * (1 + 1e-9)):
+        ref = spla.spsolve(M.tocsc(), b)
+        assert np.linalg.norm(Minv.matvec(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = spla.spsolve(M.tocsc(), out)
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_implicit_sweep_projects_only_for_pressure_outputs(monkeypatch):

@@ -123,7 +123,9 @@ def _real_operator(bc_kind, monkeypatch):
     system = build_system(space, mu=bc.mu)
     factored = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda K: factored.append(K) or splu(K))
+    monkeypatch.setattr(
+        spla, "splu", lambda K, *args, **kwargs: factored.append(K) or splu(K, *args, **kwargs)
+    )
     op = ResolventOperator(system, bc, SectorSample(2.0))
     monkeypatch.setattr(spla, "splu", splu)
     return op, factored[0]
@@ -170,8 +172,8 @@ def test_real_load_on_real_lambda_solves_once(bc_kind, monkeypatch):
     splu = spla.splu
 
     class CountedLU:
-        def __init__(self, K):
-            self.lu = splu(K)
+        def __init__(self, K, *args, **kwargs):
+            self.lu = splu(K, *args, **kwargs)
 
         def solve(self, b):
             loads.append(b.dtype)
