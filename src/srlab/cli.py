@@ -16,18 +16,21 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .experiments import (
     MU_H2_LIMIT,
+    _bubble_curl,
+    bump_load,
     check_grisvard,
     check_h2_estimate,
     check_lemma_equivalence,
     check_load_clears_patch,
     check_localized,
+    default_lambda_grid,
     input_space,
     sweep_pressure_decay,
     sweep_pressure_dual,
@@ -46,13 +49,20 @@ from .geometry import (
     unit_square,
     write_tmesh2d,
 )
-from .helmholtz import DENSE_BASIS_LIMIT
+from .helmholtz import check_dense_basis
 from .norms import lp_norm
 from .solver import NumericalError, SectorSample, solve_resolvent
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
 FIT_SUBCOMMANDS = ("sweep", "check-equivalence")
+
+
+# the loads a config names; {"kind": "bump", ...} builds a bump_load
+LOADS = {
+    "zero": VolumeF(lambda p: np.zeros((len(p), 2))),
+    "bubble_curl": VolumeF(_bubble_curl),
+}
 
 
 class ConfigError(ValueError):
@@ -75,7 +85,9 @@ class ExperimentConfig:
     level: int
     seed: int
     out_dir: str
-    extras: dict = field(default_factory=dict)
+    load: VolumeF = LOADS["zero"]
+    patch: CubePatch | None = None
+    dual: bool = False
     config_hash: str = ""
 
     @property
@@ -83,7 +95,7 @@ class ExperimentConfig:
         return BoundaryCondition(self.bc_tag, self.mu)
 
     def lambda_grid(self) -> np.ndarray:
-        return np.logspace(self.log10_min, self.log10_max, self.count)
+        return default_lambda_grid(self.log10_min, self.log10_max, self.count)
 
 
 def _config_hash(raw: dict) -> str:
@@ -109,13 +121,12 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
         "experiment", "domain", "bc", "mu", "theta", "lambda",
         "level", "seed", "out_dir", "load", "patch", "dual",
     }
-    extras = {k: raw[k] for k in ("load", "patch", "dual") if k in raw}
     unknown = sorted(set(raw) - known) + sorted(
         f"lambda.{k}" for k in set(grid) - {"log10_min", "log10_max", "count", "rays"}
     )
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    if not isinstance(extras.get("dual", False), bool):
+    if not isinstance(raw.get("dual", False), bool):
         raise ConfigError("dual must be true or false")
 
     def value(table, key, kind, default):
@@ -136,22 +147,28 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
         return kind(got)
 
     def region(name, keys):
-        """Check extras[name], an object of `keys` (key -> default, None if
-        required): a center of two numbers and a positive last key."""
-        spec, size = extras[name], list(keys)[-1]
+        """(center, size) of raw[name], an object of `keys` (key -> default,
+        None if required): a center of two numbers and a positive last key."""
+        spec, size_key = raw[name], list(keys)[-1]
         if not isinstance(spec, dict) or set(spec) - set(keys):
             raise ConfigError(f"{name} must be an object with keys {sorted(keys)}")
         center = value(spec, "center", tuple, keys["center"])
-        if len(center) != 2 or value(spec, size, float, keys[size]) <= 0:
-            raise ConfigError(f"{name} needs a center [x, y] and a positive {size}")
+        size = value(spec, size_key, float, keys[size_key])
+        if len(center) != 2 or size <= 0:
+            raise ConfigError(f"{name} needs a center [x, y] and a positive {size_key}")
+        return np.asarray(center), size
 
-    load = extras.get("load", "zero")
+    load = raw.get("load", "zero")
     if isinstance(load, dict) and load.get("kind") == "bump":
-        region("load", {"kind": "bump", "center": [0.5, 0.5], "radius": 0.1})
-    elif load not in ("zero", "bubble_curl"):
+        bump = {"kind": "bump", "center": [0.5, 0.5], "radius": 0.1}
+        load = bump_load(*region("load", bump))
+    elif isinstance(load, str) and load in LOADS:
+        load = LOADS[load]
+    else:
         raise ConfigError(f"unknown load spec {load!r}")
-    if "patch" in extras:
-        region("patch", {"center": None, "r": None})
+    patch = None
+    if "patch" in raw:
+        patch = CubePatch(*region("patch", {"center": None, "r": None}))
 
     out_dir = value(raw, "out_dir", str, ".")
     cfg = ExperimentConfig(
@@ -167,7 +184,9 @@ def load_config(path, subcommand: str, out_override=None) -> ExperimentConfig:
         level=value(raw, "level", int, 3),
         seed=value(raw, "seed", int, 0),
         out_dir=out_override or out_dir,
-        extras=extras,
+        load=load,
+        patch=patch,
+        dual=raw.get("dual", False),
         config_hash=_config_hash(raw),
     )
     _validate(cfg, subcommand)
@@ -188,7 +207,7 @@ def _validate(cfg: ExperimentConfig, subcommand: str):
         raise ConfigError("the equivalence check requires the no-slip condition")
     if subcommand in ("check-h2", "check-local") and cfg.bc_tag != "neumann":
         raise ConfigError(f"{subcommand} requires the natural boundary condition")
-    if subcommand == "check-local" and "patch" not in cfg.extras:
+    if subcommand == "check-local" and cfg.patch is None:
         raise ConfigError("check-local needs patch: {center: [x, y], r: ...}")
     if not (0 < cfg.theta < np.pi):
         raise ConfigError("theta must lie in (0, pi)")
@@ -248,36 +267,6 @@ def _resolve_threads(flag_value) -> int:
     return n
 
 
-def _load_field(cfg: ExperimentConfig):
-    """Pointwise volume load selected by the config `load` key."""
-    spec = cfg.extras.get("load", "zero")
-    if spec == "zero":
-        return VolumeF(lambda p: np.zeros((len(p), 2)))
-    if spec == "bubble_curl":
-        from .experiments import _bubble_curl
-
-        return VolumeF(_bubble_curl)
-    # a bump, checked by load_config
-    center = np.asarray(spec.get("center", [0.5, 0.5]), dtype=float)
-    radius = float(spec.get("radius", 0.1))
-
-    def f(pts):
-        d2 = np.sum((pts - center) ** 2, axis=1) / radius**2
-        vals = np.zeros((len(pts), 2))
-        inside = d2 < 1.0
-        w = np.exp(-1.0 / (1.0 - d2[inside]))
-        vals[inside, 0] = w
-        vals[inside, 1] = -w
-        return vals
-
-    return VolumeF(f)
-
-
-def _patch(cfg: ExperimentConfig) -> CubePatch:
-    spec = cfg.extras["patch"]  # checked by load_config
-    return CubePatch(np.asarray(spec["center"], dtype=float), float(spec["r"]))
-
-
 def cmd_mesh(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     mesh = build_mesh(cfg)
     path = _out_path(cfg, "mesh.tmesh2d")
@@ -293,7 +282,7 @@ def cmd_solve(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     space = build_space(mesh)
     system = build_system(space, mu=cfg.mu)
     lam = SectorSample(10**cfg.log10_min * np.exp(1j * cfg.rays[0]), cfg.theta)
-    sol = solve_resolvent(system, cfg.bc, lam, _load_field(cfg))
+    sol = solve_resolvent(system, cfg.bc, lam, cfg.load)
     payload = {
         "abs_lambda": abs(complex(lam.lam)),
         "arg_lambda": cfg.rays[0],
@@ -322,7 +311,7 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     levels = [cfg.level + k for k in range(3)]
     rows = []
     for lvl in levels:
-        mesh = triangulate(unit_square(), np.sqrt(2.0) / 2**lvl)
+        mesh = build_mesh(replace(cfg, level=lvl))
         space = build_space(mesh)
         system = build_system(space, mu=case.mu)
         rhs = [VolumeF(case.f)]
@@ -354,17 +343,12 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 def cmd_sweep(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     mesh = build_mesh(cfg)
     space = build_space(mesh)
-    dual = cfg.extras.get("dual", False)
-    if dual and space.n_vel > DENSE_BASIS_LIMIT:
-        # the dual input norm has only the dense explicit basis
-        raise ConfigError(
-            f"a dual sweep builds a dense solenoidal basis: n_vel = "
-            f"{space.n_vel} exceeds its limit {DENSE_BASIS_LIMIT}"
-        )
+    if cfg.dual:
+        check_dense_basis(space)
     system = build_system(space, mu=cfg.mu)
     # the input space does not depend on the ray: every ray shares it
-    basis = input_space(system, cfg.bc, dual)
-    runner = sweep_pressure_dual if dual else sweep_pressure_decay
+    basis = input_space(system, cfg.bc, cfg.dual)
+    runner = sweep_pressure_dual if cfg.dual else sweep_pressure_decay
 
     def one_ray(ray):
         return runner(
@@ -440,14 +424,12 @@ def cmd_check_h2(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 
 def cmd_check_local(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     space = build_space(build_mesh(cfg))
-    patch = _patch(cfg)
-    load = _load_field(cfg)
     # a config error, caught before the assembly it would waste
-    check_load_clears_patch(space, patch, load)
+    check_load_clears_patch(space, cfg.patch, cfg.load)
     system = build_system(space, mu=cfg.mu)
     for a in cfg.lambda_grid():
         lam = SectorSample(float(a) * np.exp(1j * cfg.rays[0]), cfg.theta)
-        reports = check_localized(system, lam, patch, load)
+        reports = check_localized(system, lam, cfg.patch, cfg.load)
         write_report_csv(
             _out_path(cfg, f"local_lam{float(a):g}.csv"), reports, _comment(cfg)
         )
@@ -458,8 +440,9 @@ def cmd_check_local(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
 
 
 def cmd_check_equivalence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
-    mesh = build_mesh(cfg)
-    system = build_system(build_space(mesh), mu=cfg.mu)
+    space = build_space(build_mesh(cfg))
+    check_dense_basis(space)
+    system = build_system(space, mu=cfg.mu)
     report = check_lemma_equivalence(
         system, lam_grid=cfg.lambda_grid(), theta=cfg.theta, seed=cfg.seed
     )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # noqa: F401 (tests patch splu through it)
 
 from .fem import AssembledSystem
 from .solver import NumericalError, split_complex, symmetric_lu
@@ -39,6 +38,7 @@ __all__ = [
     "HelmholtzProjector",
     "ImplicitSolenoidalProjector",
     "solenoidal_basis",
+    "check_dense_basis",
     "constraint_matrix",
     "orthonormalize",
 ]
@@ -155,18 +155,24 @@ class HelmholtzProjector(ImplicitSolenoidalProjector):
         return chi
 
 
+def check_dense_basis(space) -> None:
+    """Raise ValueError when the space is too large for solenoidal_basis;
+    it reads only the space, so a caller can run it before assembly."""
+    if space.n_vel > DENSE_BASIS_LIMIT:
+        raise ValueError(
+            f"n_vel = {space.n_vel} exceeds {DENSE_BASIS_LIMIT}, the limit of "
+            "the dense solenoidal basis that the dual input norms need; "
+            "use a coarser mesh"
+        )
+
+
 def solenoidal_basis(system: AssembledSystem, flavor: str, norm="L2") -> SolenoidalBasis:
     """Dense basis of the null space of constraint_matrix(system, flavor),
     orthonormal in the input norm `norm` (one of norms.INPUT_NORMS), for
     the dual input norms and the dense oracle. The SVD's null-space columns
     are Euclidean-orthonormal: one Cholesky of their Gram in `norm` does."""
-    A = constraint_matrix(system, flavor)
-    if system.space.n_vel > DENSE_BASIS_LIMIT:
-        raise ValueError(
-            f"n_vel = {system.space.n_vel} exceeds the dense null-space limit "
-            f"{DENSE_BASIS_LIMIT}; use the implicit projector route"
-        )
-    A = A.toarray()
+    check_dense_basis(system.space)
+    A = constraint_matrix(system, flavor).toarray()
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
     rank = int(np.sum(s > tol))

@@ -2,7 +2,7 @@
 
 Operator norms are largest singular values of the map from a solenoidal
 input to an output field, with the input in the norm its basis carries
-and the output in one of six weighted norms. Both input kinds, an
+and the output in one of four weighted norms. Both input kinds, an
 explicit basis (built orthonormal in its input norm by
 helmholtz.solenoidal_basis, so its coefficients carry the Euclidean
 norm, with the sparse M_v applied around it) and the implicit projector
@@ -43,14 +43,7 @@ __all__ = [
     "fit_decay_exponent",
 ]
 
-OUTPUTS = (
-    "lam_u",
-    "sqrt_lam_grad_u",
-    "sqrt_lam_phi",
-    "u",
-    "phi",
-    "u_h_minus1",
-)
+OUTPUTS = ("lam_u", "sqrt_lam_grad_u", "phi", "u_h_minus1")
 INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
 _H1_GRAMS = {"H1_zero_dual": "H1_zero", "H1_full_dual": "H1_full"}
 
@@ -189,10 +182,6 @@ def _output_weights(spec: OperatorSpec, system: AssembledSystem):
         return lambda u: a**2 * (system.M_v @ u), None
     if spec.output == "sqrt_lam_grad_u":
         return lambda u: a * (system.A0 @ u), None
-    if spec.output == "sqrt_lam_phi":
-        return None, lambda p: a * (system.M_q @ p)
-    if spec.output == "u":
-        return lambda u: system.M_v @ u, None
     if spec.output == "phi":
         return None, lambda p: system.M_q @ p
     if spec.output == "u_h_minus1":

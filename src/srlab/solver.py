@@ -103,8 +103,6 @@ class SectorSample:
 class ResolventSolution:
     u: np.ndarray
     phi: np.ndarray
-    lam: SectorSample
-    bc: BoundaryCondition
     residual_momentum: float
     residual_divergence: float
     warnings: list = field(default_factory=list)
@@ -224,15 +222,7 @@ def solve_resolvent(
     Fv = _assemble_load(system, bc, rhs)
     u, phi = op.solve(Fv)
     res_mom, res_div = op.residuals(u, phi, Fv)
-    sol = ResolventSolution(
-        u=u,
-        phi=phi,
-        lam=lam,
-        bc=bc,
-        residual_momentum=res_mom,
-        residual_divergence=res_div,
-        warnings=list(op.warnings),
-    )
+    sol = ResolventSolution(u, phi, res_mom, res_div, list(op.warnings))
     if bc.is_dirichlet:
         m = system.M_q @ np.ones(system.space.n_pres)
         mean = abs(m @ phi)

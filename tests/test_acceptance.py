@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 import sympy as sp
 
 from srlab.experiments import (
+    bump_load,
     check_grisvard,
     check_h2_estimate,
     check_lemma_equivalence,
@@ -248,20 +249,10 @@ def test_criterion_7_mu_boundary():
 def test_criterion_8_localized_lambda_stability(space6):
     system = build_system(space6, mu=0.0)
     patch = CubePatch(np.array([0.15, 0.15]), 0.1)
-    center, radius = np.array([0.9, 0.9]), 0.08
-
-    def bump(pts):
-        d2 = np.sum((pts - center) ** 2, axis=1) / radius**2
-        vals = np.zeros((len(pts), 2))
-        inside = d2 < 1.0
-        w = np.exp(-1.0 / (1.0 - d2[inside]))
-        vals[inside, 0] = w
-        vals[inside, 1] = -w
-        return vals
-
+    bump = bump_load([0.9, 0.9], 0.08)
     ratios = {"caccioppoli": [], "local_h2": [], "reverse_holder": []}
     for a in (10.0, 100.0, 1000.0):
-        for rep in check_localized(system, SectorSample(a), patch, VolumeF(bump)):
+        for rep in check_localized(system, SectorSample(a), patch, bump):
             assert np.isfinite(rep.ratio), (a, rep.id)
             ratios[rep.id].append(rep.ratio)
     for iid, vals in ratios.items():

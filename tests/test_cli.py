@@ -15,7 +15,7 @@ from srlab.cli import (
     load_config,
     main,
 )
-from srlab.geometry import read_tmesh2d, write_tmesh2d
+from srlab.geometry import CubePatch, read_tmesh2d, write_tmesh2d
 from srlab.helmholtz import DENSE_BASIS_LIMIT
 
 
@@ -47,6 +47,29 @@ def test_load_config_defaults(tmp_path):
     assert cfg.bc_tag == "dirichlet"
     assert cfg.rays == (0.0,)
     assert len(cfg.config_hash) == 12
+
+
+def test_load_config_builds_typed_inputs(tmp_path):
+    pts = np.array([[0.5, 0.5], [0.55, 0.47], [0.45, 0.5], [0.2, 0.9]])
+    plain = load_config(write_cfg(tmp_path), "solve")
+    assert np.array_equal(plain.load.f(pts), np.zeros((len(pts), 2)))
+    assert plain.patch is None
+    assert plain.dual is False
+    cfg = load_config(
+        write_cfg(
+            tmp_path,
+            name="bump.json",
+            bc="neumann",
+            load={"kind": "bump"},
+            patch={"center": [0.2, 0.3], "r": 0.05},
+        ),
+        "check-local",
+    )
+    expect = experiments.bump_load([0.5, 0.5], 0.1).f(pts)
+    assert np.array_equal(cfg.load.f(pts), expect)
+    assert np.count_nonzero(expect) == 6
+    assert isinstance(cfg.patch, CubePatch)
+    assert np.array_equal(cfg.patch.center, [0.2, 0.3]) and cfg.patch.r == 0.05
 
 
 def test_config_hash_stable(tmp_path):
@@ -264,20 +287,22 @@ def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
 
 
-def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
-    # level 5 has 8,450 velocity dofs, beyond the dense basis limit
+@pytest.mark.parametrize("subcommand", ["sweep", "check-equivalence"])
+def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys, subcommand):
+    # level 5 has 8,450 velocity dofs, beyond the dense basis limit: the
+    # dual sweep and the equivalence check stop before assembly
     built = []
     monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
     cfg = write_cfg(
         tmp_path,
         level=5,
-        dual=True,
+        dual=subcommand == "sweep",
         **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
     )
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
     assert built == []
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not out.exists() or not any(out.iterdir())
     err = capsys.readouterr().err
     assert "n_vel = 8450" in err and str(DENSE_BASIS_LIMIT) in err
 

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from srlab import helmholtz
 from srlab.fem import BoundaryCondition, assemble_gram, build_space, build_system
 from srlab.geometry import triangulate, unit_square
 from srlab.helmholtz import (
@@ -91,7 +90,7 @@ def test_balanced_factor_fills_less(sys4, flavor, monkeypatch):
         fills.append(lu_fill(lu))
         return lu
 
-    monkeypatch.setattr(helmholtz.spla, "splu", captured)
+    monkeypatch.setattr(spla, "splu", captured)
     ImplicitSolenoidalProjector(sys4, flavor)
     assert len(fills) == 1
     assert fills[0] <= 0.7 * unscaled
