@@ -287,24 +287,34 @@ def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
 
 
-@pytest.mark.parametrize("subcommand", ["sweep", "check-equivalence"])
-def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys, subcommand):
+def _assert_oversized_is_config_error(tmp_path, monkeypatch, capsys, subcommand, dual):
     # level 5 has 8,450 velocity dofs, beyond the dense basis limit: the
-    # dual sweep and the equivalence check stop before assembly
+    # command stops before assembly and writes nothing
     built = []
     monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
     cfg = write_cfg(
         tmp_path,
         level=5,
-        dual=subcommand == "sweep",
+        dual=dual,
         **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
     )
     out = tmp_path / "out"
     assert main([subcommand, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
     assert built == []
+    assert not list(tmp_path.rglob("*.csv"))
     assert not out.exists() or not any(out.iterdir())
     err = capsys.readouterr().err
     assert "n_vel = 8450" in err and str(DENSE_BASIS_LIMIT) in err
+
+
+def test_oversized_dual_sweep_is_config_error(tmp_path, monkeypatch, capsys):
+    _assert_oversized_is_config_error(tmp_path, monkeypatch, capsys, "sweep", True)
+
+
+def test_oversized_equivalence_check_is_config_error(tmp_path, monkeypatch, capsys):
+    _assert_oversized_is_config_error(
+        tmp_path, monkeypatch, capsys, "check-equivalence", False
+    )
 
 
 @pytest.mark.parametrize(
