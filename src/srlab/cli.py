@@ -50,7 +50,7 @@ from .geometry import (
     write_tmesh2d,
 )
 from .helmholtz import check_dense_basis
-from .norms import lp_norm
+from .norms import FIT_MIN_DECADES, lp_norm
 from .solver import NumericalError, SectorSample, solve_resolvent
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
@@ -92,7 +92,7 @@ class ExperimentConfig:
 
     @property
     def bc(self) -> BoundaryCondition:
-        return BoundaryCondition(self.bc_tag, self.mu)
+        return BoundaryCondition(self.bc_tag)
 
     def lambda_grid(self) -> np.ndarray:
         return default_lambda_grid(self.log10_min, self.log10_max, self.count)
@@ -222,8 +222,16 @@ def _validate(cfg: ExperimentConfig, subcommand: str):
         raise ConfigError("fit experiments need a lambda grid with count >= 5")
     if cfg.level < 0:
         raise ConfigError("refinement level must be nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if cfg.log10_max < cfg.log10_min:
         raise ConfigError("lambda grid log10_max must be >= log10_min")
+    span = cfg.log10_max - cfg.log10_min
+    if subcommand in FIT_SUBCOMMANDS and span < FIT_MIN_DECADES:
+        raise ConfigError(
+            f"fit experiments need a lambda grid spanning at least "
+            f"{FIT_MIN_DECADES:.0f} decades, not {span:g}"
+        )
 
 
 def build_mesh(cfg: ExperimentConfig):
@@ -283,6 +291,8 @@ def cmd_solve(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
     system = build_system(space, mu=cfg.mu)
     lam = SectorSample(10**cfg.log10_min * np.exp(1j * cfg.rays[0]), cfg.theta)
     sol = solve_resolvent(system, cfg.bc, lam, cfg.load)
+    for warning in sol.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     payload = {
         "abs_lambda": abs(complex(lam.lam)),
         "arg_lambda": cfg.rays[0],
@@ -307,7 +317,6 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
         case = dirichlet_square_case()
     else:
         case = neumann_square_case(mu=cfg.mu)
-    bc = BoundaryCondition(cfg.bc_tag, case.mu)
     levels = [cfg.level + k for k in range(3)]
     rows = []
     for lvl in levels:
@@ -317,7 +326,7 @@ def cmd_convergence(cfg: ExperimentConfig, threads: int, verbose: bool) -> int:
         rhs = [VolumeF(case.f)]
         if cfg.bc_tag == "neumann":
             rhs.append(BoundaryG(case.g))
-        sol = solve_resolvent(system, bc, SectorSample(case.lam, cfg.theta), rhs)
+        sol = solve_resolvent(system, cfg.bc, SectorSample(case.lam, cfg.theta), rhs)
         eu, ep = l2_errors(space, sol, case, cfg.bc_tag == "dirichlet")
         rows.append({"level": lvl, "h": mesh.h, "err_u_l2": eu, "err_phi_l2": ep})
         if verbose:

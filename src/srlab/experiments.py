@@ -38,7 +38,6 @@ from .helmholtz import (
 )
 from .norms import (
     DecayFit,
-    OperatorSpec,
     broken_h2_seminorm,
     fit_decay_exponent,
     lp_norm,
@@ -192,10 +191,10 @@ def input_space(system: AssembledSystem, bc: BoundaryCondition, dual: bool = Fal
     return solenoidal_basis(system, flavor, norm)
 
 
-def _converged(res, spec: OperatorSpec) -> float:
+def _converged(res, output: str, lam: SectorSample) -> float:
     """The measured value; an unconverged eigensolve is never recorded."""
     if not res.converged:
-        raise NumericalError(f"unconverged {spec.output} eigensolve at {spec.lam.lam}")
+        raise NumericalError(f"unconverged {output} eigensolve at {lam.lam}")
     return res.value
 
 
@@ -234,9 +233,8 @@ def sweep_pressure_decay(
         op = ResolventOperator(system, bc, lam)
         row = {"abs_lambda": a, "resolved": in_resolved_window(a, h)}
         for out in outputs:
-            spec = OperatorSpec(out, bc, lam, input_norm=basis.norm)
-            res = operator_norm(spec, basis, system, seed=seed, operator=op)
-            row[_OUTPUT_COLUMNS[out]] = _converged(res, spec)
+            res = operator_norm(out, basis, op, seed=seed)
+            row[_OUTPUT_COLUMNS[out]] = _converged(res, out, lam)
         del op  # free this factor before the next one is built
         samples.append(row)
     record = SweepRecord(arg_lambda=arg_lambda, h=h, samples=samples)
@@ -437,7 +435,7 @@ def check_h2_estimate(
     if lam_grid is None:
         lam_grid = default_lambda_grid(0.0, 1.5, 7)
     space = system.space
-    bc = BoundaryCondition("neumann", mu)
+    bc = BoundaryCondition("neumann")
     if f_fields is None:
         proj = HelmholtzProjector(system, "neumann")
         rng = np.random.default_rng(seed)
@@ -503,7 +501,7 @@ def check_localized(
     8-dilated patch (check_load_clears_patch) so the equation is
     homogeneous near the patch."""
     space = system.space
-    bc = BoundaryCondition("neumann", system.mu)
+    bc = BoundaryCondition("neumann")
     check_load_clears_patch(space, patch, f)
     op = ResolventOperator(system, bc, lam)
     u, phi = op.solve(load_vector(space, f, bc))

@@ -98,16 +98,14 @@ def _p2_edge_trace(s):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Dirichlet (u = 0) or Neumann-type ({Du + mu Du^T} n - phi n = 0)."""
+    """Dirichlet (u = 0) or Neumann-type ({Du + mu Du^T} n - phi n = 0).
+    The mu is the system's: it acts only through AssembledSystem.A_mu."""
 
     tag: str
-    mu: float = 0.0
 
     def __post_init__(self):
         if self.tag not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition tag {self.tag!r}")
-        if self.tag == "neumann" and not (-1.0 < self.mu <= 1.0):
-            raise ValueError("mu must lie in (-1, 1]")
 
     @property
     def is_dirichlet(self) -> bool:

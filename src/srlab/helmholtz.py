@@ -20,7 +20,8 @@ linear nodal potentials, A = C^T, so that x = f + M_v^{-1} C chi with
 the scalar potential chi = -y / s. L2 operator norms use the projector
 at every mesh size; the explicit basis, a dense SVD of the same
 constraints orthonormalized once in its input norm, serves only the dual
-input norms and the tests' dense oracle.
+input norms and the tests' dense oracle. A basis or projector carries
+its input norm (`norm`), the one the operator norms measure it in.
 """
 from __future__ import annotations
 
@@ -45,11 +46,15 @@ __all__ = [
 
 DENSE_BASIS_LIMIT = 3000
 
+# the input norms of an operator norm: M_v, and the H^-1 duals of the
+# H1 norms of zero-trace and of all fields
+INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
+
 
 @dataclass(frozen=True)
 class SolenoidalBasis:
     """Columns spanning a discretely solenoidal subspace, orthonormal in
-    the input norm `norm` (one of norms.INPUT_NORMS; "L2" is M_v)."""
+    the input norm `norm` (one of INPUT_NORMS)."""
 
     Z: np.ndarray
     flavor: str  # a constraint_matrix flavor
@@ -168,9 +173,11 @@ def check_dense_basis(space) -> None:
 
 def solenoidal_basis(system: AssembledSystem, flavor: str, norm="L2") -> SolenoidalBasis:
     """Dense basis of the null space of constraint_matrix(system, flavor),
-    orthonormal in the input norm `norm` (one of norms.INPUT_NORMS), for
-    the dual input norms and the dense oracle. The SVD's null-space columns
+    orthonormal in the input norm `norm` (one of INPUT_NORMS), for the
+    dual input norms and the dense oracle. The SVD's null-space columns
     are Euclidean-orthonormal: one Cholesky of their Gram in `norm` does."""
+    if norm not in INPUT_NORMS:
+        raise ValueError(f"unknown input norm {norm!r}")
     check_dense_basis(system.space)
     A = constraint_matrix(system, flavor).toarray()
     _, s, Vt = np.linalg.svd(A, full_matrices=True)

@@ -1,18 +1,19 @@
 """Norms, dual norms, and operator norms of resolvent solution maps.
 
-Operator norms are largest singular values of the map from a solenoidal
-input to an output field, with the input in the norm its basis carries
-and the output in one of four weighted norms. Both input kinds, an
-explicit basis (built orthonormal in its input norm by
-helmholtz.solenoidal_basis, so its coefficients carry the Euclidean
-norm, with the sparse M_v applied around it) and the implicit projector
-(the full velocity space in the M_v inner product), give one
-normal-operator pencil: forward solve, output weight, adjoint solve
-through conjugation, reusing one LU factorization per resolvent
-parameter. operator_norm finds its top eigenvalue by Lanczos (ARPACK);
-dense_operator_norm, the oracle, assembles the same pencil densely.
-Everything runs in the arithmetic of lam (SectorSample.dtype): real on
-the positive real axis, complex elsewhere.
+An operator norm is the largest singular value of the map from a
+solenoidal input to one of four weighted output fields, and a function
+of (output, inputs, resolvent operator) alone: the ResolventOperator
+carries the system, the boundary condition and lam, and the inputs
+carry their input norm. Both input kinds, an explicit basis (built
+orthonormal in its input norm by helmholtz.solenoidal_basis, so its
+coefficients carry the Euclidean norm, with the sparse M_v applied
+around it) and the implicit projector (the full velocity space in the
+M_v inner product), give one normal-operator pencil: forward solve,
+output weight, adjoint solve through conjugation, all on the operator's
+one LU factorization. operator_norm finds its top eigenvalue by Lanczos
+(ARPACK); dense_operator_norm, the oracle, assembles the same pencil
+densely. Everything runs in the arithmetic of lam (SectorSample.dtype):
+real on the positive real axis, complex elsewhere.
 """
 from __future__ import annotations
 
@@ -21,18 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import AssembledSystem, BoundaryCondition, TaylorHoodSpace, assemble_gram
+from .fem import AssembledSystem, TaylorHoodSpace, assemble_gram
 from .helmholtz import ImplicitSolenoidalProjector
-from .solver import (
-    NumericalError,
-    ResolventOperator,
-    SectorSample,
-    split_complex,
-    symmetric_lu,
-)
+from .solver import NumericalError, ResolventOperator, split_complex, symmetric_lu
 
 __all__ = [
-    "OperatorSpec",
     "OperatorNormResult",
     "DecayFit",
     "lp_norm",
@@ -44,8 +38,11 @@ __all__ = [
 ]
 
 OUTPUTS = ("lam_u", "sqrt_lam_grad_u", "phi", "u_h_minus1")
-INPUT_NORMS = ("L2", "H1_zero_dual", "H1_full_dual")
 _H1_GRAMS = {"H1_zero_dual": "H1_zero", "H1_full_dual": "H1_full"}
+
+# a decay fit needs samples spanning at least 2 decades of |lambda|; the
+# 1e-12 slack keeps a grid of exactly 2 decades from failing on rounding
+FIT_MIN_DECADES = 2.0 - 1e-12
 
 POWER_TOL = 1e-11
 POWER_MAXIT = 500
@@ -143,22 +140,6 @@ def dual_h_minus1_norm(system: AssembledSystem, load, flavor: str = "H1_zero_dua
     return float(np.sqrt(max(np.real(val), 0.0)))
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """What map to measure: output functional, boundary condition, lam."""
-
-    output: str
-    bc: BoundaryCondition
-    lam: SectorSample
-    input_norm: str = "L2"
-
-    def __post_init__(self):
-        if self.output not in OUTPUTS:
-            raise ValueError(f"unknown output functional {self.output!r}")
-        if self.input_norm not in INPUT_NORMS:
-            raise ValueError(f"unknown input norm {self.input_norm!r}")
-
-
 @dataclass
 class OperatorNormResult:
     value: float
@@ -175,22 +156,24 @@ class DecayFit:
     n_samples: int
 
 
-def _output_weights(spec: OperatorSpec, system: AssembledSystem):
-    """Return (Wu, Wp): weight applications on the velocity/pressure blocks."""
-    a = abs(complex(spec.lam.lam))
-    if spec.output == "lam_u":
+def _output_weights(output: str, op: ResolventOperator):
+    """Return (Wu, Wp): weight applications on the velocity/pressure blocks
+    of op's solutions."""
+    system = op.system
+    a = abs(complex(op.lam.lam))
+    if output == "lam_u":
         return lambda u: a**2 * (system.M_v @ u), None
-    if spec.output == "sqrt_lam_grad_u":
+    if output == "sqrt_lam_grad_u":
         return lambda u: a * (system.A0 @ u), None
-    if spec.output == "phi":
+    if output == "phi":
         return None, lambda p: system.M_q @ p
-    if spec.output == "u_h_minus1":
+    if output == "u_h_minus1":
         # M_v D K10^{-1} D M_v with D the zero-trace mask, which the Riesz
         # map applies on both sides: symmetric, so the normal operator
         # stays Hermitian on every boundary condition
         riesz = _dual_solver(system, "H1_zero_dual")
         return lambda u: system.M_v @ riesz(system.M_v @ u), None
-    raise ValueError(spec.output)
+    raise ValueError(f"unknown output functional {output!r}")
 
 
 def _input_gram(system, Z, norm):
@@ -202,25 +185,22 @@ def _input_gram(system, Z, norm):
     return 0.5 * (G + G.T)
 
 
-def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operator=None):
-    """The normal operator H = T* W T of the input-to-output map T as the
-    pencil (matvec, dim, M, Minv) whose top eigenvalue is the squared
-    operator norm.
+def _normal_operator(output: str, basis, op: ResolventOperator):
+    """The normal operator H = T* W T of the map T from the inputs `basis`
+    to `output` through op's factorization, as the pencil (matvec, dim,
+    M, Minv) whose top eigenvalue is the squared operator norm.
 
     An explicit basis works in its coefficients, which carry the
     Euclidean norm, so M is None. The implicit projector works in the
     full velocity space in the M_v inner product: matvec returns M_v P y
     and M = M_v; Minv returns P y for that output and solves with the
-    cached M_v factor, built on first use, for any other load. `operator`
-    reuses a factorization of the same (bc, lam).
+    cached M_v factor, built on first use, for any other load.
     """
-    if spec.input_norm != basis.norm:
-        raise ValueError(f"basis norm {basis.norm} != input norm {spec.input_norm}")
+    system = op.system
+    Wu, Wp = _output_weights(output, op)
     implicit = isinstance(basis, ImplicitSolenoidalProjector)
     if not implicit and basis.dim == 0:
         raise NumericalError("empty basis")
-    op = operator if operator is not None else ResolventOperator(system, spec.bc, spec.lam)
-    Wu, Wp = _output_weights(spec, system)
     n_vel = system.space.n_vel
 
     def adjoint_of_weighted(load):
@@ -237,7 +217,7 @@ def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operato
     # where y already lies in the range of P, the full-space normal
     # operator H is M-symmetric with H = P H, hence H = P H P: it has the
     # top eigenvalue of the operator on range(P), and P y = y needs no solve
-    lands_in_range = Wp is None and (spec.bc.tag, basis.flavor) in _ADJOINT_IN_RANGE
+    lands_in_range = Wp is None and (op.bc.tag, basis.flavor) in _ADJOINT_IN_RANGE
 
     last = [None, None]  # the last matvec's (M_v y, y)
 
@@ -256,7 +236,7 @@ def _normal_operator(spec: OperatorSpec, basis, system: AssembledSystem, operato
             return last[1]
         return _gram_solver(system, "L2")(b)
 
-    Minv = spla.LinearOperator(system.M_v.shape, matvec=solve_mass, dtype=spec.lam.dtype)
+    Minv = spla.LinearOperator(system.M_v.shape, matvec=solve_mass, dtype=op.lam.dtype)
     return matvec, n_vel, system.M_v, Minv
 
 
@@ -311,36 +291,26 @@ def _power_iteration(matvec, dim, seed, dtype, M=None, Minv=None):
 
 
 def operator_norm(
-    spec: OperatorSpec,
-    basis,
-    system: AssembledSystem,
-    seed: int = 0,
-    operator: ResolventOperator | None = None,
+    output: str, basis, op: ResolventOperator, seed: int = 0
 ) -> OperatorNormResult:
-    """Largest singular value of the input-to-output map over the basis.
+    """Largest singular value of the map from the inputs `basis` to
+    `output` at op's (system, bc, lam).
 
     `basis` is either an explicit SolenoidalBasis or an
-    ImplicitSolenoidalProjector; either way its `norm` must be
-    spec.input_norm. `operator` allows reusing a factorization across
-    calls with the same (bc, lam).
+    ImplicitSolenoidalProjector; the input is measured in its `norm`.
     """
-    matvec, dim, M, Minv = _normal_operator(spec, basis, system, operator)
-    nu, iters, ok = _power_iteration(matvec, dim, seed, spec.lam.dtype, M, Minv)
+    matvec, dim, M, Minv = _normal_operator(output, basis, op)
+    nu, iters, ok = _power_iteration(matvec, dim, seed, op.lam.dtype, M, Minv)
     return OperatorNormResult(
         value=float(np.sqrt(max(nu, 0.0))), iterations=iters, converged=ok
     )
 
 
-def dense_operator_norm(
-    spec: OperatorSpec,
-    basis,
-    system: AssembledSystem,
-    operator: ResolventOperator | None = None,
-) -> float:
+def dense_operator_norm(output: str, basis, op: ResolventOperator) -> float:
     """operator_norm's oracle: the same pencil assembled densely and
     solved by a dense eigendecomposition (small bases and meshes only)."""
-    matvec, dim, M, _ = _normal_operator(spec, basis, system, operator)
-    nu = _dense_top_eigenvalue(matvec, dim, spec.lam.dtype, M)
+    matvec, dim, M, _ = _normal_operator(output, basis, op)
+    nu = _dense_top_eigenvalue(matvec, dim, op.lam.dtype, M)
     return float(np.sqrt(max(nu, 0.0)))
 
 
@@ -356,9 +326,10 @@ def fit_decay_exponent(samples) -> DecayFit:
         raise NumericalError(f"only {len(pts)} usable samples; need at least 5")
     la = np.log10([a for a, _ in pts])
     ln = np.log10([n for _, n in pts])
-    if la.max() - la.min() < 2.0 - 1e-12:
+    if la.max() - la.min() < FIT_MIN_DECADES:
         raise NumericalError(
-            f"samples span {la.max() - la.min():.2f} decades; need at least 2"
+            f"samples span {la.max() - la.min():.2f} decades; "
+            f"need at least {FIT_MIN_DECADES:.0f}"
         )
     slope, intercept = np.polyfit(la, ln, 1)
     fitted = slope * la + intercept

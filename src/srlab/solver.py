@@ -211,14 +211,10 @@ def _assemble_load(system, bc, rhs):
 
 
 def solve_resolvent(
-    system: AssembledSystem,
-    bc: BoundaryCondition,
-    lam: SectorSample,
-    rhs,
-    operator: ResolventOperator | None = None,
+    system: AssembledSystem, bc: BoundaryCondition, lam: SectorSample, rhs
 ) -> ResolventSolution:
     """Solve the resolvent problem for one lam and one right-hand side."""
-    op = operator if operator is not None else ResolventOperator(system, bc, lam)
+    op = ResolventOperator(system, bc, lam)
     Fv = _assemble_load(system, bc, rhs)
     u, phi = op.solve(Fv)
     res_mom, res_div = op.residuals(u, phi, Fv)

@@ -37,8 +37,8 @@ from srlab.helmholtz import (
     solenoidal_basis,
 )
 from srlab.manufactured import dirichlet_square_case, l2_errors, neumann_square_case
-from srlab.norms import OperatorSpec, dense_operator_norm, operator_norm
-from srlab.solver import SectorSample, solve_resolvent
+from srlab.norms import dense_operator_norm, operator_norm
+from srlab.solver import ResolventOperator, SectorSample, solve_resolvent
 
 
 def square_space(level):
@@ -68,7 +68,7 @@ def test_criterion_1_manufactured_convergence(bc_kind):
         case = dirichlet_square_case()
     else:
         case = neumann_square_case(mu=0.3)
-    bc = BoundaryCondition(bc_kind, mu=case.mu)
+    bc = BoundaryCondition(bc_kind)
     errors = []
     for lvl in (2, 3, 4):
         space = square_space(lvl)
@@ -101,7 +101,7 @@ def test_criterion_2_neumann_pressure_decay(space6):
             proj = ImplicitSolenoidalProjector(system, "calL2_sigma")
         _, fit = sweep_pressure_decay(
             system,
-            BoundaryCondition("neumann", mu),
+            BoundaryCondition("neumann"),
             lam_grid=grid,
             basis=proj,
             outputs=("phi",),
@@ -136,7 +136,7 @@ def test_criterion_4_neumann_dual_uniform(space4):
     system = build_system(space4, mu=0.0)
     _, fit = sweep_pressure_dual(
         system,
-        BoundaryCondition("neumann", 0.0),
+        BoundaryCondition("neumann"),
         lam_grid=default_lambda_grid(0.0, 2.0, 9),
     )
     growth = -fit.alpha_hat
@@ -175,7 +175,7 @@ def test_criterion_5_uniform_resolvent_bounds(space4):
     system = build_system(space4, mu=0.3)
     record = check_uniform_resolvent(
         system,
-        BoundaryCondition("neumann", 0.3),
+        BoundaryCondition("neumann"),
         lam_grid=default_lambda_grid(0.0, 2.0, 9),
     )
     samples = record.resolved_samples()
@@ -282,7 +282,7 @@ def test_criterion_9_projection_properties():
     # replacing f by Q f leaves the velocity unchanged
     qf = projq.apply(f)
     lam = SectorSample(2 + 1j)
-    bc = BoundaryCondition("neumann", 0.3)
+    bc = BoundaryCondition("neumann")
     sol_f = solve_resolvent(system, bc, lam, np.asarray(system.M_v @ f))
     sol_qf = solve_resolvent(system, bc, lam, np.asarray(system.M_v @ qf))
     assert m_norm(system, sol_f.u - sol_qf.u) <= 1e-8 * m_norm(system, sol_f.u)
@@ -298,13 +298,12 @@ def test_criterion_10_power_iteration_vs_dense():
         ("neumann", 0.3, "calL2_sigma"),
     ):
         system = build_system(space, mu=mu)
-        bc = BoundaryCondition(tag, mu)
+        bc = BoundaryCondition(tag)
         basis = solenoidal_basis(system, flavor)
         for a in (1.0, 100.0):
-            lam = SectorSample(a)
+            op = ResolventOperator(system, bc, SectorSample(a))
             for out in ("phi", "lam_u", "sqrt_lam_grad_u"):
-                spec = OperatorSpec(out, bc, lam)
-                rp = operator_norm(spec, basis, system, seed=0)
-                rd = dense_operator_norm(spec, basis, system)
+                rp = operator_norm(out, basis, op, seed=0)
+                rd = dense_operator_norm(out, basis, op)
                 rel = abs(rp.value - rd) / rd
                 assert rel <= 1e-8, (tag, a, out, rel)

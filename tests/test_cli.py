@@ -179,6 +179,21 @@ def test_solve_zero_load(tmp_path):
     assert f"srlab {__version__}" in comment
 
 
+def test_solve_prints_its_warnings(tmp_path, capsys):
+    # level 1 resolves |lambda| <= 1/h^2 = 2; lambda = 10 lies beyond
+    cfg = write_cfg(
+        tmp_path,
+        level=1,
+        load="bubble_curl",
+        **{"lambda": {"log10_min": 1.0, "log10_max": 1.0, "count": 1}},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "t_solve.json").exists()
+    err = capsys.readouterr().err
+    assert "warning: " in err and "1/h^2" in err
+
+
 def test_solve_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, load="bubble_curl")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -287,23 +302,32 @@ def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
 
 
-def _assert_oversized_is_config_error(tmp_path, monkeypatch, capsys, subcommand, dual):
-    # level 5 has 8,450 velocity dofs, beyond the dense basis limit: the
-    # command stops before assembly and writes nothing
+def _config_error_before_assembly(tmp_path, monkeypatch, capsys, subcommand, **overrides):
+    """Run `subcommand` on a config that must exit 2 before assembly and
+    write nothing; return its stderr."""
     built = []
     monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
-    cfg = write_cfg(
-        tmp_path,
-        level=5,
-        dual=dual,
-        **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
-    )
+    cfg = write_cfg(tmp_path, **overrides)
     out = tmp_path / "out"
     assert main([subcommand, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
     assert built == []
     assert not list(tmp_path.rglob("*.csv"))
     assert not out.exists() or not any(out.iterdir())
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def _assert_oversized_is_config_error(tmp_path, monkeypatch, capsys, subcommand, dual):
+    # level 5 has 8,450 velocity dofs, beyond the dense basis limit: the
+    # command stops before assembly and writes nothing
+    err = _config_error_before_assembly(
+        tmp_path,
+        monkeypatch,
+        capsys,
+        subcommand,
+        level=5,
+        dual=dual,
+        **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
+    )
     assert "n_vel = 8450" in err and str(DENSE_BASIS_LIMIT) in err
 
 
@@ -315,6 +339,39 @@ def test_oversized_equivalence_check_is_config_error(tmp_path, monkeypatch, caps
     _assert_oversized_is_config_error(
         tmp_path, monkeypatch, capsys, "check-equivalence", False
     )
+
+
+def test_negative_seed_is_config_error(tmp_path, monkeypatch, capsys):
+    # numpy rejects a negative seed only once the eigensolver draws its
+    # start vector, after the mesh, the system and the first factor
+    err = _config_error_before_assembly(
+        tmp_path,
+        monkeypatch,
+        capsys,
+        "sweep",
+        bc="neumann",
+        seed=-1,
+        **{"lambda": {"log10_min": 0.0, "log10_max": 2.0, "count": 5}},
+    )
+    assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, bc", [("sweep", "neumann"), ("check-equivalence", "dirichlet")]
+)
+def test_fit_grid_under_two_decades_is_config_error(
+    tmp_path, monkeypatch, capsys, subcommand, bc
+):
+    # no mesh can fit 1.5 decades: the fit needs 2
+    err = _config_error_before_assembly(
+        tmp_path,
+        monkeypatch,
+        capsys,
+        subcommand,
+        bc=bc,
+        **{"lambda": {"log10_min": 0.0, "log10_max": 1.5, "count": 5}},
+    )
+    assert "2 decades" in err
 
 
 @pytest.mark.parametrize(

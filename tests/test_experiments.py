@@ -25,7 +25,7 @@ from srlab.experiments import (
 from srlab.fem import BoundaryCondition, VolumeF, build_space, build_system
 from srlab.geometry import CubePatch, triangulate, unit_square
 from srlab.helmholtz import solenoidal_basis
-from srlab.norms import OperatorSpec, dense_operator_norm, fit_decay_exponent
+from srlab.norms import dense_operator_norm, fit_decay_exponent
 from srlab.solver import NumericalError, ResolventOperator, SectorSample
 
 
@@ -87,7 +87,7 @@ def test_default_lambda_grid():
 
 
 def test_sweep_pressure_decay_neumann(sys3):
-    bc = BoundaryCondition("neumann", 0.0)
+    bc = BoundaryCondition("neumann")
     grid = default_lambda_grid(-1.0, 1.0, 5)
     record, fit = sweep_pressure_decay(sys3, bc, lam_grid=grid, outputs=("phi",))
     assert [s["abs_lambda"] for s in record.samples] == sorted(grid)
@@ -99,7 +99,7 @@ def test_sweep_pressure_decay_neumann(sys3):
 
 
 def test_sweep_pressure_decay_values_decrease(sys3):
-    bc = BoundaryCondition("neumann", 0.0)
+    bc = BoundaryCondition("neumann")
     grid = default_lambda_grid(-1.0, 1.0, 5)
     record, _ = sweep_pressure_decay(sys3, bc, lam_grid=grid, outputs=("phi",))
     vals = [v for _, v in record.series("C_pressure")]
@@ -133,7 +133,7 @@ def test_default_sweep_matches_dense_oracle_without_dense_basis(
     def refuse(*args, **kwargs):
         raise AssertionError("an L2 sweep built the dense basis")
 
-    bc = BoundaryCondition(bc_tag, 0.0)
+    bc = BoundaryCondition(bc_tag)
     grid = default_lambda_grid(-0.5, 1.5, 5)
     with monkeypatch.context() as m:
         m.setattr(experiments, "solenoidal_basis", refuse)
@@ -148,8 +148,7 @@ def test_default_sweep_matches_dense_oracle_without_dense_basis(
             ("lam_u", "C_velocity"),
             ("sqrt_lam_grad_u", "C_gradient"),
         ):
-            spec = OperatorSpec(out, bc, lam)
-            dense = dense_operator_norm(spec, basis, sys3, operator=op)
+            dense = dense_operator_norm(out, basis, op)
             assert s[col] == pytest.approx(dense, rel=1e-8), (out, s["abs_lambda"])
 
 
@@ -184,7 +183,7 @@ def test_sweep_pressure_dual_dirichlet(sys3):
     "run",
     [
         lambda system, grid: sweep_pressure_decay(
-            system, BoundaryCondition("neumann", 0.0), lam_grid=grid, outputs=("phi",)
+            system, BoundaryCondition("neumann"), lam_grid=grid, outputs=("phi",)
         ),
         lambda system, grid: sweep_pressure_dual(
             system, BoundaryCondition("dirichlet"), lam_grid=grid
@@ -200,7 +199,7 @@ def test_unconverged_eigensolve_is_numerical_failure(unconverged_eigsh, run):
 
 
 def test_uniform_resolvent_columns(sys3):
-    bc = BoundaryCondition("neumann", 0.0)
+    bc = BoundaryCondition("neumann")
     record = check_uniform_resolvent(sys3, bc, lam_grid=[1.0, 10.0])
     for s in record.samples:
         for p in (2, 3, 4):
@@ -210,7 +209,7 @@ def test_uniform_resolvent_columns(sys3):
 
 
 def test_uniform_resolvent_zero_load_empty(sys3):
-    bc = BoundaryCondition("neumann", 0.0)
+    bc = BoundaryCondition("neumann")
     zero_f = VolumeF(lambda p: np.zeros((len(p), 2)))
     record = check_uniform_resolvent(sys3, bc, lam_grid=[1.0], f=zero_f)
     assert record.samples == []

@@ -346,9 +346,6 @@ def test_gradient_coupling_vs_divergence(fine_space):
 def test_boundary_condition_validation():
     with pytest.raises(ValueError):
         BoundaryCondition("robin")
-    with pytest.raises(ValueError):
-        BoundaryCondition("neumann", mu=-1.0)
-    BoundaryCondition("neumann", mu=1.0)
 
 
 def test_build_system(fine_space):

@@ -222,7 +222,7 @@ def test_basis_flavor_validation(sys3):
 
 
 @pytest.mark.parametrize(
-    "bc", [BoundaryCondition("dirichlet"), BoundaryCondition("neumann", 0.3)]
+    "bc", [BoundaryCondition("dirichlet"), BoundaryCondition("neumann")]
 )
 def test_pressure_absorption(sys3, bc):
     f = random_field(sys3, seed=3)

@@ -14,7 +14,6 @@ from srlab.helmholtz import (
     solenoidal_basis,
 )
 from srlab.norms import (
-    OperatorSpec,
     _input_gram,
     broken_h2_seminorm,
     dense_operator_norm,
@@ -153,11 +152,11 @@ def test_riesz_map_and_input_gram_match_the_masked_formula(sys3, norm, lam):
 
 @pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
 def test_h_minus1_weight_matches_the_masked_formula(sys3, lam):
-    spec = OperatorSpec("u_h_minus1", BoundaryCondition("dirichlet"), SectorSample(lam))
-    weight, _ = norms._output_weights(spec, sys3)
+    op = ResolventOperator(sys3, BoundaryCondition("dirichlet"), SectorSample(lam))
+    weight, _ = norms._output_weights("u_h_minus1", op)
     solve = norms._gram_solver(sys3, "H1_zero_dual")
     mask = sys3.space.interior_vel.astype(float)
-    u = _load(sys3.space, spec.lam.dtype, seed=2)
+    u = _load(sys3.space, op.lam.dtype, seed=2)
     expect = sys3.M_v @ (mask * solve(mask * (sys3.M_v @ u)))
     assert np.array_equal(weight(u), expect)
 
@@ -165,9 +164,9 @@ def test_h_minus1_weight_matches_the_masked_formula(sys3, lam):
 @pytest.mark.parametrize("output", ["lam_u", "sqrt_lam_grad_u", "phi"])
 def test_power_vs_dense(sys2, output):
     basis = solenoidal_basis(sys2, "L2_sigma")
-    spec = OperatorSpec(output, BoundaryCondition("dirichlet"), SectorSample(3.0))
-    dense = dense_operator_norm(spec, basis, sys2)
-    power = operator_norm(spec, basis, sys2)
+    op = ResolventOperator(sys2, BoundaryCondition("dirichlet"), SectorSample(3.0))
+    dense = dense_operator_norm(output, basis, op)
+    power = operator_norm(output, basis, op)
     assert power.converged
     assert power.value == pytest.approx(dense, rel=1e-6)
 
@@ -181,12 +180,11 @@ def test_normal_operator_is_hermitian(sys2, bc_kind):
     lam = SectorSample(5.0)
     op = ResolventOperator(sys2, bc, lam)
     for output in norms.OUTPUTS:
-        spec = OperatorSpec(output, bc, lam)
-        apply_H = norms._normal_operator(spec, basis, sys2, op)[0]
+        apply_H = norms._normal_operator(output, basis, op)[0]
         H = np.column_stack([apply_H(e) for e in np.eye(basis.dim)])
         assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max(), output
-        dense = dense_operator_norm(spec, basis, sys2)
-        power = operator_norm(spec, basis, sys2, operator=op)
+        dense = dense_operator_norm(output, basis, op)
+        power = operator_norm(output, basis, op)
         assert power.value == pytest.approx(dense, rel=1e-10), output
 
 
@@ -195,9 +193,9 @@ def test_operator_norm_basis_rotation_invariance(sys2):
     rng = np.random.default_rng(4)
     Q, _ = np.linalg.qr(rng.standard_normal((basis.dim, basis.dim)))
     rotated = SolenoidalBasis(Z=basis.Z @ Q, flavor=basis.flavor)
-    spec = OperatorSpec("phi", BoundaryCondition("dirichlet"), SectorSample(2.0))
-    a = dense_operator_norm(spec, basis, sys2)
-    b = dense_operator_norm(spec, rotated, sys2)
+    op = ResolventOperator(sys2, BoundaryCondition("dirichlet"), SectorSample(2.0))
+    a = dense_operator_norm("phi", basis, op)
+    b = dense_operator_norm("phi", rotated, op)
     assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -217,13 +215,13 @@ BC_FLAVORS = [
 def test_operator_norm_implicit_matches_explicit(sys2, output, bc_kind, flavor, lam):
     basis = solenoidal_basis(sys2, flavor)
     proj = ImplicitSolenoidalProjector(sys2, flavor)
-    spec = OperatorSpec(output, BoundaryCondition(bc_kind), SectorSample(lam))
-    explicit = dense_operator_norm(spec, basis, sys2)
-    implicit = operator_norm(spec, proj, sys2)
+    op = ResolventOperator(sys2, BoundaryCondition(bc_kind), SectorSample(lam))
+    explicit = dense_operator_norm(output, basis, op)
+    implicit = operator_norm(output, proj, op)
     assert implicit.converged
     assert implicit.value == pytest.approx(explicit, rel=1e-8)
     # the oracle assembles the projector's pencil (M_v P, M_v) as well
-    assert dense_operator_norm(spec, proj, sys2) == pytest.approx(explicit, rel=1e-10)
+    assert dense_operator_norm(output, proj, op) == pytest.approx(explicit, rel=1e-10)
 
 
 @pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
@@ -251,17 +249,14 @@ def test_dual_input_operator_norm_singleton(sys2):
     single = SolenoidalBasis(
         Z=orthonormalize(z, G), flavor="L2_sigma", norm="H1_zero_dual"
     )
-    bc = BoundaryCondition("dirichlet")
-    lam = SectorSample(4.0)
-    spec = OperatorSpec("phi", bc, lam, input_norm="H1_zero_dual")
-    res = dense_operator_norm(spec, single, sys2)
-    op = ResolventOperator(sys2, bc, lam)
+    op = ResolventOperator(sys2, BoundaryCondition("dirichlet"), SectorSample(4.0))
+    res = dense_operator_norm("phi", single, op)
     _, phi = op.solve(sys2.M_v @ z[:, 0])
     num = np.sqrt(np.real(np.vdot(phi, sys2.M_q @ phi)))
     den = dual_h_minus1_norm(sys2, np.asarray(sys2.M_v @ z[:, 0]), "H1_zero_dual")
     assert res == pytest.approx(num / den, rel=1e-8)
     # a one-column basis takes the eigensolver's dense branch
-    assert operator_norm(spec, single, sys2).value == pytest.approx(res, rel=1e-12)
+    assert operator_norm("phi", single, op).value == pytest.approx(res, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [5.0, 40.0 * np.exp(1j)], ids=["real", "complex"])
@@ -283,10 +278,9 @@ def test_one_pass_dual_basis_matches_two_pass(sys3, bc_kind, flavor, norm, lam):
         # for Z^T G Z = I to hold to a useful tolerance
         G = _input_gram(sys3, one.Z, norm)
         assert np.abs(G - np.eye(one.dim)).max() < 1e-9
-    bc = BoundaryCondition(bc_kind)
-    spec = OperatorSpec("phi", bc, SectorSample(lam), input_norm=norm)
-    expect = operator_norm(spec, two, sys3)
-    got = operator_norm(spec, one, sys3)
+    op = ResolventOperator(sys3, BoundaryCondition(bc_kind), SectorSample(lam))
+    expect = operator_norm("phi", two, op)
+    got = operator_norm("phi", one, op)
     assert got.converged and expect.converged
     assert got.value == pytest.approx(expect.value, rel=1e-10)
 
@@ -297,16 +291,13 @@ def test_operator_norm_rejects_basis_in_other_norm(sys2):
     assert dual.norm == "H1_zero_dual" and dual.dim == basis.dim
     proj = ImplicitSolenoidalProjector(sys2, "L2_sigma")
     assert proj.norm == "L2"
-    bc, lam = BoundaryCondition("dirichlet"), SectorSample(2.0)
-    for norm, wrong in (
-        ("H1_zero_dual", basis),
-        ("L2", dual),
-        ("H1_full_dual", dual),
-        ("H1_zero_dual", proj),
-    ):
-        spec = OperatorSpec("phi", bc, lam, input_norm=norm)
-        with pytest.raises(ValueError, match="input norm"):
-            operator_norm(spec, wrong, sys2)
+    # the inputs carry their norm, so only an unknown output or an unknown
+    # norm is left to reject, each before any eigensolve or SVD
+    op = ResolventOperator(sys2, BoundaryCondition("dirichlet"), SectorSample(2.0))
+    with pytest.raises(ValueError, match="unknown output functional"):
+        operator_norm("u", basis, op)
+    with pytest.raises(ValueError, match="unknown input norm"):
+        solenoidal_basis(sys2, "L2_sigma", "H2")
 
 
 def test_dual_solver_factors_once_across_threads(monkeypatch):
@@ -402,8 +393,8 @@ def test_implicit_sweep_factors_no_mass_matrix(monkeypatch):
 @pytest.mark.parametrize("lam", [5.0, 3.0 + 4.0j], ids=["real", "complex"])
 def test_mass_inverse_solves_any_other_load(sys3, lam):
     proj = ImplicitSolenoidalProjector(sys3, "L2_sigma")
-    spec = OperatorSpec("phi", BoundaryCondition("neumann"), SectorSample(lam))
-    matvec, n, M, Minv = norms._normal_operator(spec, proj, sys3)
+    op = ResolventOperator(sys3, BoundaryCondition("neumann"), SectorSample(lam))
+    matvec, n, M, Minv = norms._normal_operator("phi", proj, op)
     rng = np.random.default_rng(4)
 
     def field():
@@ -433,9 +424,9 @@ def test_implicit_sweep_projects_only_for_pressure_outputs(monkeypatch):
         projections.append(1)
         return project(self, f)
 
-    def counted_operator_norm(spec, *args, **kwargs):
-        res = measure(spec, *args, **kwargs)
-        matvecs[spec.output] = matvecs.get(spec.output, 0) + res.iterations
+    def counted_operator_norm(output, *args, **kwargs):
+        res = measure(output, *args, **kwargs)
+        matvecs[output] = matvecs.get(output, 0) + res.iterations
         return res
 
     monkeypatch.setattr(ImplicitSolenoidalProjector, "project", counted_project)

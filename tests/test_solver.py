@@ -21,7 +21,7 @@ from srlab.solver import (
 
 def run_convergence(bc_kind):
     case = dirichlet_square_case() if bc_kind == "dirichlet" else neumann_square_case()
-    bc = BoundaryCondition(bc_kind, mu=case.mu)
+    bc = BoundaryCondition(bc_kind)
     lam = SectorSample(case.lam)
     errors = []
     for lvl in (2, 3, 4):
@@ -101,9 +101,9 @@ def test_conjugation_symmetry():
     ],
 )
 def test_adjoint_solve(bc_kind, lam):
-    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
+    bc = BoundaryCondition(bc_kind)
     space = build_space(triangulate(unit_square(), 0.3))
-    system = build_system(space, mu=bc.mu)
+    system = build_system(space, mu=0.3 if bc_kind == "neumann" else 0.0)
     op = ResolventOperator(system, bc, SectorSample(lam))
     rng = np.random.default_rng(3)
     f = rng.standard_normal(space.n_vel) + 1j * rng.standard_normal(space.n_vel)
@@ -118,9 +118,9 @@ def test_adjoint_solve(bc_kind, lam):
 
 def _real_operator(bc_kind, monkeypatch):
     """A real-lam operator and the saddle matrix it factored."""
-    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
+    bc = BoundaryCondition(bc_kind)
     space = build_space(triangulate(unit_square(), 0.3))
-    system = build_system(space, mu=bc.mu)
+    system = build_system(space, mu=0.3 if bc_kind == "neumann" else 0.0)
     factored = []
     splu = spla.splu
     monkeypatch.setattr(
@@ -163,8 +163,9 @@ def test_complex_load_on_real_factor_splits(bc_kind, monkeypatch):
 
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
 def test_real_load_on_real_lambda_solves_once(bc_kind, monkeypatch):
-    bc = BoundaryCondition(bc_kind, mu=0.3 if bc_kind == "neumann" else 0.0)
-    system = build_system(build_space(triangulate(unit_square(), 0.3)), mu=bc.mu)
+    bc = BoundaryCondition(bc_kind)
+    mu = 0.3 if bc_kind == "neumann" else 0.0
+    system = build_system(build_space(triangulate(unit_square(), 0.3)), mu=mu)
     rhs = [VolumeF(lambda p: np.stack([np.sin(3 * p[:, 1]), p[:, 0] ** 2], axis=-1))]
     if bc_kind == "neumann":
         rhs.append(BoundaryG(lambda pts, fid: np.cos(pts + fid)))
@@ -180,13 +181,12 @@ def test_real_load_on_real_lambda_solves_once(bc_kind, monkeypatch):
             return self.lu.solve(b)
 
     monkeypatch.setattr(spla, "splu", CountedLU)
-    op = ResolventOperator(system, bc, SectorSample(7.0))
-    sol = solve_resolvent(system, bc, op.lam, rhs, operator=op)
+    sol = solve_resolvent(system, bc, SectorSample(7.0), rhs)
     assert loads == [np.float64]
     assert sol.u.dtype == np.float64 and sol.phi.dtype == np.float64
     # the same load held in complex arithmetic, as it was before real loads
     Fv = sum(load_vector(system.space, part, bc) for part in rhs)
-    u, phi = op.solve(Fv.astype(complex))
+    u, phi = ResolventOperator(system, bc, SectorSample(7.0)).solve(Fv.astype(complex))
     ref = np.concatenate([u, phi])
     got = np.concatenate([sol.u, sol.phi])
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
