@@ -40,6 +40,7 @@ from .norms import (
     DecayFit,
     broken_h2_seminorm,
     fit_decay_exponent,
+    fit_window,
     lp_norm,
     operator_norm,
 )
@@ -78,8 +79,6 @@ CSV_COLUMNS = (
     "C_pressure",
     "C_velocity",
     "C_gradient",
-    "Cp_p3",
-    "Cp_p4",
     "resolved",
 )
 
@@ -224,9 +223,10 @@ def sweep_pressure_decay(
     the L2 norm on the implicit projector. Returns (SweepRecord, DecayFit)."""
     if lam_grid is None:
         lam_grid = default_lambda_grid()
+    h = system.space.mesh.h
+    fit_window(lam_grid, h)
     if basis is None:
         basis = input_space(system, bc)
-    h = system.space.mesh.h
     samples = []
     for a in sorted(float(a) for a in np.asarray(lam_grid)):
         lam = SectorSample(a * np.exp(1j * arg_lambda), theta)
@@ -260,14 +260,7 @@ def sweep_pressure_dual(
     if basis is None:
         basis = input_space(system, bc, dual=True)
     return sweep_pressure_decay(
-        system,
-        bc,
-        lam_grid=lam_grid,
-        arg_lambda=arg_lambda,
-        theta=theta,
-        basis=basis,
-        outputs=("phi",),
-        seed=seed,
+        system, bc, lam_grid, arg_lambda, theta, basis, outputs=("phi",), seed=seed
     )
 
 
@@ -554,11 +547,10 @@ def check_lemma_equivalence(
     sup |u|_{H^-1} / |F|_{H^-1}; the two exponents should sum to 1."""
     if lam_grid is None:
         lam_grid = default_lambda_grid()
+    # unresolved lambda would only be dropped by the fits: never factor them
+    resolved = fit_window(lam_grid, system.space.mesh.h)
     bc = BoundaryCondition("dirichlet")
     basis = input_space(system, bc, dual=True)
-    h = system.space.mesh.h
-    # unresolved lambda would only be dropped by the fits: never factor them
-    resolved = [a for a in np.asarray(lam_grid) if in_resolved_window(a, h)]
     record, fit_p = sweep_pressure_decay(
         system,
         bc,

@@ -24,7 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .fem import AssembledSystem, TaylorHoodSpace, assemble_gram
 from .helmholtz import ImplicitSolenoidalProjector
-from .solver import NumericalError, ResolventOperator, split_complex, symmetric_lu
+from .solver import NumericalError, ResolventOperator, in_resolved_window
+from .solver import split_complex, symmetric_lu
 
 __all__ = [
     "OperatorNormResult",
@@ -34,13 +35,14 @@ __all__ = [
     "dual_h_minus1_norm",
     "operator_norm",
     "dense_operator_norm",
+    "fit_window",
     "fit_decay_exponent",
 ]
 
 OUTPUTS = ("lam_u", "sqrt_lam_grad_u", "phi", "u_h_minus1")
 _H1_GRAMS = {"H1_zero_dual": "H1_zero", "H1_full_dual": "H1_full"}
 
-# a decay fit needs samples spanning at least 2 decades of |lambda|; the
+# a decay fit needs 5 samples spanning at least 2 decades of |lambda|; the
 # 1e-12 slack keeps a grid of exactly 2 decades from failing on rounding
 FIT_MIN_DECADES = 2.0 - 1e-12
 
@@ -314,23 +316,32 @@ def dense_operator_norm(output: str, basis, op: ResolventOperator) -> float:
     return float(np.sqrt(max(nu, 0.0)))
 
 
+def fit_window(abs_lams, h=None) -> list:
+    """The |lambda| a decay fit may use: all of abs_lams, or with a mesh
+    size h those in its resolved window. Raises NumericalError unless at
+    least 5 of them span FIT_MIN_DECADES."""
+    lams = [float(a) for a in abs_lams]
+    kept = [a for a in lams if h is None or in_resolved_window(a, h)]
+    span = float(np.log10(max(kept)) - np.log10(min(kept))) if kept else 0.0
+    if len(kept) < 5 or span < FIT_MIN_DECADES:
+        window = f" in the resolved window |lambda| <= 1/h^2 = {h**-2:.4g}" if h else ""
+        raise NumericalError(
+            f"{len(kept)} of {len(lams)} |lambda|{window} span {span:.2f} decades; "
+            f"a fit needs 5 over {FIT_MIN_DECADES:.0f} decades"
+        )
+    return kept
+
+
 def fit_decay_exponent(samples) -> DecayFit:
     """Least-squares decay exponent of N(lam) ~ lam^(-alpha).
 
     `samples` is a list of (abs_lambda, N), already cut to the resolved
-    window (SweepRecord.series). The fit needs at least 5 samples
-    spanning at least 2 decades.
+    window (SweepRecord.series). The samples with N > 0 must pass
+    fit_window: at least 5 of them, spanning at least 2 decades.
     """
     pts = [(float(a), float(n)) for a, n in samples if n > 0]
-    if len(pts) < 5:
-        raise NumericalError(f"only {len(pts)} usable samples; need at least 5")
-    la = np.log10([a for a, _ in pts])
+    la = np.log10(fit_window([a for a, _ in pts]))
     ln = np.log10([n for _, n in pts])
-    if la.max() - la.min() < FIT_MIN_DECADES:
-        raise NumericalError(
-            f"samples span {la.max() - la.min():.2f} decades; "
-            f"need at least {FIT_MIN_DECADES:.0f}"
-        )
     slope, intercept = np.polyfit(la, ln, 1)
     fitted = slope * la + intercept
     ss_res = float(np.sum((ln - fitted) ** 2))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from srlab import __version__, cli, experiments, helmholtz
+from srlab import __version__, cli, experiments, helmholtz, solver
 from srlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -302,18 +302,47 @@ def test_sweep_unresolved_grid_is_numerical_failure(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
 
 
-def _config_error_before_assembly(tmp_path, monkeypatch, capsys, subcommand, **overrides):
-    """Run `subcommand` on a config that must exit 2 before assembly and
-    write nothing; return its stderr."""
-    built = []
+def _exits_before_assembly(tmp_path, monkeypatch, capsys, subcommand, code, **overrides):
+    """Run `subcommand` on a config that must exit with `code` before
+    assembly, factor nothing and write nothing; return its stderr."""
+    built, factored = [], []
     monkeypatch.setattr(cli, "build_system", lambda *a, **k: built.append(1))
+    monkeypatch.setattr(
+        solver.ResolventOperator, "__init__", lambda self, *a: factored.append(1)
+    )
     cfg = write_cfg(tmp_path, **overrides)
     out = tmp_path / "out"
-    assert main([subcommand, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
-    assert built == []
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--threads", "1"]) == code
+    assert built == [] and factored == []
     assert not list(tmp_path.rglob("*.csv"))
     assert not out.exists() or not any(out.iterdir())
     return capsys.readouterr().err
+
+
+def _config_error_before_assembly(tmp_path, monkeypatch, capsys, subcommand, **overrides):
+    """Run `subcommand` on a config that must exit 2 before assembly and
+    write nothing; return its stderr."""
+    return _exits_before_assembly(tmp_path, monkeypatch, capsys, subcommand, 2, **overrides)
+
+
+@pytest.mark.parametrize(
+    "subcommand, bc", [("sweep", "neumann"), ("check-equivalence", "dirichlet")]
+)
+def test_unresolved_fit_grid_fails_before_assembly(
+    tmp_path, monkeypatch, capsys, subcommand, bc
+):
+    # level 2 resolves |lambda| <= 1/h^2 = 8, none of 10^2..10^4: the mesh
+    # alone shows that the fit cannot run, so nothing is assembled or factored
+    err = _exits_before_assembly(
+        tmp_path,
+        monkeypatch,
+        capsys,
+        subcommand,
+        3,
+        bc=bc,
+        **{"lambda": {"log10_min": 2.0, "log10_max": 4.0, "count": 5}},
+    )
+    assert "1/h^2" in err
 
 
 def _assert_oversized_is_config_error(tmp_path, monkeypatch, capsys, subcommand, dual):

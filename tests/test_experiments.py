@@ -169,6 +169,28 @@ def test_equivalence_factors_only_resolved_lambda(monkeypatch):
     assert report.fit_pressure.n_samples == report.fit_velocity.n_samples == 5
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda system, grid: sweep_pressure_decay(
+            system, BoundaryCondition("neumann"), lam_grid=grid
+        ),
+        lambda system, grid: check_lemma_equivalence(system, lam_grid=grid),
+    ],
+    ids=["decay", "equivalence"],
+)
+def test_unfittable_grid_fails_before_any_factor(monkeypatch, run):
+    # level 2 resolves |lambda| <= 1/h^2 = 8: 4 of the 6 grid values. The
+    # grid spans 3 decades, so only the resolved count fails the fit
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    factored = []
+    monkeypatch.setattr(experiments, "ResolventOperator", lambda *a: factored.append(a))
+    msg = r"4 of 6 \|lambda\| in the resolved window \|lambda\| <= 1/h\^2 = 8 "
+    with pytest.raises(NumericalError, match=msg):
+        run(system, default_lambda_grid(-1.4, 1.6, 6))
+    assert factored == []
+
+
 def test_sweep_pressure_dual_dirichlet(sys3):
     bc = BoundaryCondition("dirichlet")
     grid = default_lambda_grid(-1.0, 1.0, 5)
@@ -295,7 +317,21 @@ def test_write_sweep_csv(tmp_path):
     fields = lines[2].split(",")
     assert fields[0] == "1.0" and fields[3] == "0.5" and fields[-1] == "1"
     # missing functionals stay empty
-    assert fields[4] == "" and fields[7] == ""
+    assert fields[4] == "" and fields[5] == ""
+
+
+def test_sweep_writes_every_csv_column(tmp_path):
+    system = build_system(build_space(triangulate(unit_square(), np.sqrt(2.0) / 4)))
+    record, _ = sweep_pressure_decay(
+        system, BoundaryCondition("neumann"), lam_grid=default_lambda_grid(-1.1, 0.9, 5)
+    )
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, record)
+    lines = path.read_text().splitlines()
+    assert lines[1] == ",".join(CSV_COLUMNS)
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 5
+    assert all(len(row) == len(CSV_COLUMNS) and "" not in row for row in rows)
 
 
 def test_sweep_fits_only_the_resolved_window():

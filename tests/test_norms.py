@@ -22,7 +22,7 @@ from srlab.norms import (
     lp_norm,
     operator_norm,
 )
-from srlab.solver import ResolventOperator, SectorSample
+from srlab.solver import NumericalError, ResolventOperator, SectorSample
 
 
 @pytest.fixture(scope="module")
@@ -469,3 +469,7 @@ def test_fit_preconditions():
     lams = np.logspace(0, 1.5, 8)
     with pytest.raises(ValueError):
         fit_decay_exponent([(a, a**-0.5) for a in lams])
+    # 4 samples over 3 decades, and 5 over 1.9
+    for lams in (np.logspace(0, 3, 4), np.logspace(0, 1.9, 5)):
+        with pytest.raises(NumericalError, match="a fit needs 5 over 2 decades"):
+            fit_decay_exponent([(a, a**-0.5) for a in lams])
